@@ -1,0 +1,130 @@
+"""Exact K-theory bookkeeping for higher-rank graph algebras.
+
+Build the Evans chain complex of a k-graph from its commuting adjacency
+matrices, compute integer homology via Smith normal form, assemble the E2
+page of the convergence spectral sequence, and report what that page does
+(and does not) pin down about K-theory.
+"""
+
+from .complexes import (
+    ChainComplex,
+    ChainComplexError,
+    TwoTermComplex,
+    build_complex,
+    build_differential_direct,
+    build_differential_recursive,
+    differential_product_witness,
+    tensor_monoid_complex,
+    tensor_two,
+)
+from .documents import (
+    DocumentError,
+    GraphDocument,
+    document_from_dict,
+    document_to_dict,
+    dumps_document,
+    dumps_documents,
+    load_document,
+    loads_document,
+    loads_documents,
+)
+from .homology import TRIVIAL_GROUP, AbelianGroup, homology
+from .indexsets import (
+    BASEPOINT,
+    CanonicalOrder,
+    IndexTuple,
+    delete_coordinate,
+    enumerate_tuples,
+    format_index_tuple,
+    partition_plus_minus,
+    phi,
+    psi,
+)
+from .intmat import IntMatrix
+from .kgraph import (
+    KGraphSpec,
+    SpecValidationError,
+    StructuralError,
+    ValidationReport,
+    Violation,
+    coadjacencies,
+    coadjacency,
+    coordinate_restriction,
+    monoid_spec,
+    permute_coordinates,
+    spec_from_matrices,
+    validate,
+)
+from .snf import SnfResult, elementary_divisors, rank_from_divisors, smith_normal_form
+from .spectral import (
+    E2Page,
+    KTheoryVerdict,
+    KunnethReport,
+    VerdictKind,
+    e2_page,
+    k_theory_verdict,
+    kunneth_check,
+    monoid_closed_form,
+    monoid_gcd,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AbelianGroup",
+    "BASEPOINT",
+    "CanonicalOrder",
+    "ChainComplex",
+    "ChainComplexError",
+    "DocumentError",
+    "E2Page",
+    "GraphDocument",
+    "IndexTuple",
+    "IntMatrix",
+    "KGraphSpec",
+    "KTheoryVerdict",
+    "KunnethReport",
+    "SnfResult",
+    "SpecValidationError",
+    "StructuralError",
+    "TRIVIAL_GROUP",
+    "TwoTermComplex",
+    "ValidationReport",
+    "VerdictKind",
+    "Violation",
+    "build_complex",
+    "build_differential_direct",
+    "build_differential_recursive",
+    "coadjacencies",
+    "coadjacency",
+    "coordinate_restriction",
+    "delete_coordinate",
+    "differential_product_witness",
+    "document_from_dict",
+    "document_to_dict",
+    "dumps_document",
+    "dumps_documents",
+    "e2_page",
+    "elementary_divisors",
+    "enumerate_tuples",
+    "format_index_tuple",
+    "homology",
+    "k_theory_verdict",
+    "kunneth_check",
+    "load_document",
+    "loads_document",
+    "loads_documents",
+    "monoid_closed_form",
+    "monoid_gcd",
+    "monoid_spec",
+    "partition_plus_minus",
+    "permute_coordinates",
+    "phi",
+    "psi",
+    "rank_from_divisors",
+    "smith_normal_form",
+    "spec_from_matrices",
+    "tensor_monoid_complex",
+    "tensor_two",
+    "validate",
+]

@@ -1,0 +1,253 @@
+"""Command-line front end.
+
+Subcommands::
+
+    evansk validate FILE            check the standing hypotheses
+    evansk complex FILE             ranks, labels and boundary matrices
+    evansk homology FILE            homology groups per degree
+    evansk e2 FILE                  the E2 page
+    evansk verdict FILE             K-theory verdict
+    evansk gen monoid ...           exhaustive single-vertex corpus
+    evansk gen polynomial-family .. seeded commuting families
+
+``--format text|json`` selects the output form; ``--out PATH`` redirects
+it to a file.  The JSON report has the same schema for every subcommand,
+with unused sections null.  Exit status: 0 success, 1 validation failure,
+2 parse/structural/usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+from .complexes import build_complex
+from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
+from .documents import DocumentError, GraphDocument, dumps_documents, load_document
+from .homology import homology
+from .indexsets import enumerate_tuples, format_index_tuple
+from .kgraph import StructuralError, validate
+from .render import render_differential
+from .spectral import e2_page, k_theory_verdict
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args)
+    except (DocumentError, StructuralError, CorpusError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="evansk",
+        description="Evans chain complexes of higher-rank graphs: exact homology, "
+                    "E2 pages, and K-theory verdicts.",
+    )
+    sub = parser.add_subparsers(required=True)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("file", help="graph document (JSON)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+
+    for name in ("validate", "complex", "homology", "e2", "verdict"):
+        p = sub.add_parser(name)
+        add_common(p)
+        if name == "complex":
+            p.add_argument("--degree", type=int, help="only this boundary degree")
+        p.set_defaults(run=_make_command(name))
+
+    gen = sub.add_parser("gen", help="generate corpus documents")
+    gen_sub = gen.add_subparsers(required=True)
+
+    gm = gen_sub.add_parser("monoid")
+    gm.add_argument("--k", type=int, required=True)
+    gm.add_argument("--m-min", type=int, default=1)
+    gm.add_argument("--m-max", type=int, default=9)
+    gm.add_argument("--out")
+    gm.set_defaults(run=_cmd_gen_monoid)
+
+    gp = gen_sub.add_parser("polynomial-family")
+    gp.add_argument("--count", type=int, required=True)
+    gp.add_argument("--seed", type=int, required=True)
+    gp.add_argument("--max-vertices", type=int, default=4)
+    gp.add_argument("--max-rank", type=int, default=4)
+    gp.add_argument("--unimodular-base", action="store_true",
+                    help="force the first co-adjacency matrix to be unimodular")
+    gp.add_argument("--out")
+    gp.set_defaults(run=_cmd_gen_poly)
+
+    return parser
+
+
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+
+
+def _report_skeleton(command: str, doc: GraphDocument) -> dict:
+    return {
+        "command": command,
+        "name": doc.name,
+        "k": doc.spec.rank,
+        "vertices": list(doc.spec.vertices),
+        "validation": None,
+        "complex": None,
+        "homology": None,
+        "e2": None,
+        "verdict": None,
+        "timing": None,
+    }
+
+
+def _validation_dict(report) -> dict:
+    return {
+        "valid": report.ok,
+        "violations": [
+            {"kind": v.kind, "where": list(v.where), "message": v.message}
+            for v in report.violations
+        ],
+    }
+
+
+def _labels(spec, p: int) -> list[str]:
+    return [
+        f"{format_index_tuple(a)}:{v}"
+        for a in enumerate_tuples(p, spec.rank).tuples
+        for v in spec.vertices
+    ]
+
+
+def _make_command(command: str):
+    def run(args: argparse.Namespace) -> int:
+        doc = load_document(args.file)
+        spec = doc.spec
+        report = validate(spec)
+        out = _report_skeleton(command, doc)
+        out["validation"] = _validation_dict(report)
+        if not report.ok:
+            if args.format == "json":
+                _emit(json.dumps(out, indent=2), args)
+            else:
+                _emit(report.summary(), args)
+            return 1
+        if command == "validate":
+            out["timing"] = {"seconds": {}}
+            _emit(json.dumps(out, indent=2) if args.format == "json" else "valid", args)
+            return 0
+
+        k = spec.rank
+        degrees = range(1, k + 1)
+        if command == "complex" and args.degree is not None:
+            if not 1 <= args.degree <= k:
+                print(f"error: degree {args.degree} out of range 1..{k}", file=sys.stderr)
+                return 2
+            degrees = range(args.degree, args.degree + 1)
+
+        timings: dict[str, float] = {}
+        t0 = time.perf_counter()
+        cc = build_complex(spec)
+        timings["build"] = time.perf_counter() - t0
+
+        text_lines: list[str] = []
+        if command == "complex":
+            out["complex"] = {
+                "ranks": list(cc.ranks),
+                "differentials": [
+                    {
+                        "degree": p,
+                        "rows": cc.boundary(p).rows,
+                        "cols": cc.boundary(p).cols,
+                        "row_labels": _labels(spec, p - 1),
+                        "col_labels": _labels(spec, p),
+                        "matrix": cc.boundary(p).to_lists(),
+                    }
+                    for p in degrees
+                ],
+            }
+            text_lines.append(f"k = {k}, ranks = {list(cc.ranks)}")
+            for p in degrees:
+                text_lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
+                text_lines.append(render_differential(spec, cc.boundary(p), p))
+        else:
+            t1 = time.perf_counter()
+            groups = homology(cc, check=False)
+            timings["homology"] = time.perf_counter() - t1
+            out["homology"] = [g.to_dict() for g in groups]
+            page = e2_page(groups, k)
+            out["e2"] = page.to_dict()
+            if command == "homology":
+                text_lines.extend(f"H_{p} = {g}" for p, g in enumerate(groups))
+            elif command == "e2":
+                text_lines.append("E2 page (columns repeat in every even row):")
+                text_lines.extend(
+                    f"  E2[{p},2q] = {g}" for p, g in enumerate(page.columns)
+                )
+            else:  # verdict
+                t2 = time.perf_counter()
+                verdict = k_theory_verdict(spec)
+                timings["verdict"] = time.perf_counter() - t2
+                out["verdict"] = verdict.to_dict()
+                text_lines.append(_verdict_line(verdict))
+                text_lines.append(f"justification: {verdict.justification}")
+                if verdict.commentary:
+                    text_lines.append(f"note: {verdict.commentary}")
+                text_lines.append(
+                    "E2 columns: " + ", ".join(str(g) for g in verdict.e2.columns)
+                )
+        timings["total"] = time.perf_counter() - t0
+        out["timing"] = {"seconds": {k_: round(v, 6) for k_, v in timings.items()}}
+        _emit(json.dumps(out, indent=2) if args.format == "json" else "\n".join(text_lines), args)
+        return 0
+
+    return run
+
+
+def _verdict_line(verdict) -> str:
+    kind = verdict.kind.value
+    if kind == "trivial":
+        return f"K0 = 0, K1 = 0; rule {verdict.rule}"
+    if kind == "determined":
+        if verdict.k0 == verdict.k1:
+            return f"K0 = K1 = {verdict.k0}; rule {verdict.rule}"
+        return f"K0 = {verdict.k0}, K1 = {verdict.k1}; rule {verdict.rule}"
+    if kind == "short_exact_sequence":
+        sub, quot = verdict.ses
+        return f"K1 = {verdict.k1}; K0: 0 -> {sub} -> K0 -> {quot} -> 0; rule {verdict.rule}"
+    return f"indeterminate; rule {verdict.rule}"
+
+
+def _cmd_gen_monoid(args: argparse.Namespace) -> int:
+    if args.m_min < 1 or args.m_max < args.m_min:
+        raise CorpusError(
+            f"loop-count range must satisfy 1 <= m-min <= m-max, "
+            f"got {args.m_min}..{args.m_max}"
+        )
+    docs = exhaustive_monoid_documents(args.k, range(args.m_min, args.m_max + 1))
+    _emit(dumps_documents(docs).rstrip("\n"), args)
+    return 0
+
+
+def _cmd_gen_poly(args: argparse.Namespace) -> int:
+    docs = random_polynomial_documents(
+        args.count,
+        args.seed,
+        max_vertices=args.max_vertices,
+        max_rank=args.max_rank,
+        unimodular_base=args.unimodular_base,
+    )
+    _emit(dumps_documents(docs).rstrip("\n"), args)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

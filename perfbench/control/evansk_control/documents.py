@@ -1,0 +1,106 @@
+"""The graph document format shared by the CLI, generators, and tests.
+
+A document is a JSON object with fields ``k`` (rank), ``vertices`` (list
+of labels), ``adjacency`` (list of ``k`` row-major integer matrices, each
+``|vertices|`` square) and an optional ``name``.  Parsing failures carry
+positions (line/column for JSON syntax, a field path otherwise) and are
+distinct from semantic validation failures.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+from .intmat import IntMatrix
+from .kgraph import KGraphSpec, StructuralError
+
+
+class DocumentError(ValueError):
+    """Unparseable or structurally malformed document."""
+
+
+@dataclass(frozen=True)
+class GraphDocument:
+    spec: KGraphSpec
+    name: str | None = None
+
+
+def document_to_dict(doc: GraphDocument) -> dict:
+    out: dict = {}
+    if doc.name is not None:
+        out["name"] = doc.name
+    out["k"] = doc.spec.rank
+    out["vertices"] = list(doc.spec.vertices)
+    out["adjacency"] = [m.to_lists() for m in doc.spec.adjacency]
+    return out
+
+
+def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocument:
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{source}: document must be a JSON object")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise DocumentError(f"{source}: 'name' must be a string")
+    k = obj.get("k")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DocumentError(f"{source}: 'k' must be an integer")
+    vertices = obj.get("vertices")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise DocumentError(f"{source}: 'vertices' must be a list of strings")
+    adjacency = obj.get("adjacency")
+    if not isinstance(adjacency, list):
+        raise DocumentError(f"{source}: 'adjacency' must be a list of matrices")
+    mats = []
+    n = len(vertices)
+    for idx, rows in enumerate(adjacency):
+        path = f"{source}: adjacency[{idx}]"
+        if not isinstance(rows, list) or len(rows) != n:
+            raise DocumentError(f"{path} must be a {n}x{n} matrix")
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise DocumentError(f"{path} row {r} must have {n} entries")
+            for c, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise DocumentError(f"{path} entry ({r},{c}) must be an integer")
+        mats.append(IntMatrix(n, n, rows))
+    try:
+        spec = KGraphSpec(rank=k, vertices=tuple(vertices), adjacency=tuple(mats))
+    except StructuralError as exc:
+        raise DocumentError(f"{source}: {exc}") from exc
+    return GraphDocument(spec=spec, name=name)
+
+
+def loads_document(text: str, *, source: str = "<string>") -> GraphDocument:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    return document_from_dict(obj, source=source)
+
+
+def load_document(path: str | Path) -> GraphDocument:
+    return loads_document(Path(path).read_text(encoding="utf-8"), source=str(path))
+
+
+def dumps_document(doc: GraphDocument) -> str:
+    return json.dumps(document_to_dict(doc), indent=2) + "\n"
+
+
+def dumps_documents(docs: list[GraphDocument]) -> str:
+    return json.dumps([document_to_dict(d) for d in docs], indent=2) + "\n"
+
+
+def loads_documents(text: str, *, source: str = "<string>") -> list[GraphDocument]:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(obj, list):
+        raise DocumentError(f"{source}: expected a JSON array of documents")
+    return [document_from_dict(d, source=f"{source}[{i}]") for i, d in enumerate(obj)]

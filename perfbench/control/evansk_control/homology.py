@@ -1,0 +1,151 @@
+"""Integer homology of finite free chain complexes.
+
+For a complex with ranks ``r_0..r_k`` and boundaries ``d_1..d_k`` (and the
+zero maps ``d_0``, ``d_{k+1}`` at the ends), degree ``p`` homology is
+
+* free rank ``r_p - rank(d_p) - rank(d_{p+1})``,
+* torsion given by the elementary divisors of ``d_{p+1}`` exceeding 1.
+
+The top group is always torsion-free (it is the kernel of an integer
+matrix).  Groups are reported as a free rank plus a divisibility chain of
+torsion orders, never with unit factors:
+
+>>> str(AbelianGroup(2, (2, 4)))
+'Z^2 x Z2 x Z4'
+>>> str(AbelianGroup())
+'0'
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .complexes import ChainComplex, ChainComplexError, differential_product_witness
+from .snf import elementary_divisors, rank_from_divisors
+
+
+def _factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@dataclass(frozen=True)
+class AbelianGroup:
+    """A finitely generated abelian group: free rank plus invariant factors.
+
+    Torsion orders are all >= 2 and each divides the next, so the
+    presentation is unique and equality is isomorphism.
+    """
+
+    free_rank: int = 0
+    torsion: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"free rank must be nonnegative, got {self.free_rank}")
+        for t in self.torsion:
+            if t < 2:
+                raise ValueError(f"torsion orders must be >= 2, got {t}")
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a:
+                raise ValueError(f"torsion orders must form a divisibility chain: {self.torsion}")
+
+    @classmethod
+    def free(cls, rank: int) -> AbelianGroup:
+        return cls(free_rank=rank)
+
+    @classmethod
+    def cyclic(cls, order: int, copies: int = 1) -> AbelianGroup:
+        """``copies`` summands of Z/order; order 0 means Z, order 1 is trivial."""
+        if order == 0:
+            return cls(free_rank=copies)
+        if order == 1:
+            return cls()
+        return cls(torsion=(abs(order),) * copies)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.torsion
+
+    @property
+    def is_torsion_free(self) -> bool:
+        return not self.torsion
+
+    def direct_sum(self, other: AbelianGroup) -> AbelianGroup:
+        """Direct sum, renormalized back to a divisibility chain."""
+        if not other.torsion:
+            return AbelianGroup(self.free_rank + other.free_rank, self.torsion)
+        if not self.torsion:
+            return AbelianGroup(self.free_rank + other.free_rank, other.torsion)
+        powers: dict[int, list[int]] = {}
+        for t in self.torsion + other.torsion:
+            for prime, exp in _factor(t).items():
+                powers.setdefault(prime, []).append(exp)
+        depth = max(len(v) for v in powers.values())
+        factors = []
+        for slot in range(depth):
+            f = 1
+            for prime, exps in powers.items():
+                ordered = sorted(exps, reverse=True)
+                if slot < len(ordered):
+                    f *= prime ** ordered[slot]
+            factors.append(f)
+        factors.reverse()
+        return AbelianGroup(self.free_rank + other.free_rank, tuple(factors))
+
+    def __str__(self) -> str:
+        parts = []
+        if self.free_rank == 1:
+            parts.append("Z")
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        run_value: int | None = None
+        run_count = 0
+        for t in self.torsion + (0,):  # sentinel flushes the last run
+            if t == run_value:
+                run_count += 1
+                continue
+            if run_value is not None and run_count:
+                parts.append(f"Z{run_value}" + (f"^{run_count}" if run_count > 1 else ""))
+            run_value, run_count = t, 1
+        return " x ".join(parts) if parts else "0"
+
+    def to_dict(self) -> dict:
+        return {
+            "free_rank": self.free_rank,
+            "torsion": list(self.torsion),
+            "pretty": str(self),
+        }
+
+
+TRIVIAL_GROUP = AbelianGroup()
+
+
+def homology(cc: ChainComplex, *, check: bool = True) -> list[AbelianGroup]:
+    """Homology groups in degrees ``0..length``.
+
+    ``check`` re-verifies ``d o d = 0`` before computing; pass False only
+    when the complex was already verified at build time.
+    """
+    if check:
+        witness = differential_product_witness(cc)
+        if witness is not None:
+            raise ChainComplexError(*witness)
+    divisors = [elementary_divisors(cc.boundary(p)) for p in range(1, cc.length + 1)]
+    groups = []
+    for p in range(cc.length + 1):
+        rank_in = rank_from_divisors(divisors[p - 1]) if p >= 1 else 0
+        next_divisors = divisors[p] if p < cc.length else ()
+        rank_out = rank_from_divisors(next_divisors)
+        free = cc.ranks[p] - rank_in - rank_out
+        torsion = tuple(d for d in next_divisors if d > 1)
+        groups.append(AbelianGroup(free, torsion))
+    return groups

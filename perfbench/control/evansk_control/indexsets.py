@@ -1,0 +1,132 @@
+"""Strictly increasing index tuples and the block bookkeeping built on them.
+
+The degree-``p`` index set over rank ``k`` consists of the strictly
+increasing ``p``-tuples with entries in ``{1..k}``; the empty tuple is the
+single degree-0 element (the basepoint, printed ``*``).  A fixed enumeration
+order makes every block-matrix statement in :mod:`evansk.complexes` a
+literal statement about matrix layout:
+
+* tuples ending in ``k`` come first, ordered by appending ``k`` to the
+  canonical order of degree ``p - 1`` over rank ``k - 1``;
+* tuples avoiding ``k`` follow, in the canonical order of rank ``k - 1``.
+
+>>> enumerate_tuples(2, 4).tuples
+((3, 4), (2, 4), (1, 4), (2, 3), (1, 3), (1, 2))
+>>> enumerate_tuples(0, 3).tuples
+((),)
+>>> enumerate_tuples(3, 2).tuples
+()
+
+The plus/minus partition splits an index set by whether the last entry is
+``k``; deleting a coordinate, dropping the last entry of a plus tuple
+(``psi``), and reinterpreting a rank ``k - 1`` tuple at rank ``k``
+(``phi``) are the only maps the block construction needs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+IndexTuple = tuple[int, ...]
+
+#: The unique degree-0 index tuple.
+BASEPOINT: IndexTuple = ()
+
+
+@dataclass(frozen=True, eq=False)
+class CanonicalOrder:
+    """The canonical enumeration of one degree-``p`` index set.
+
+    ``position`` maps each tuple to its zero-based slot; lookups must go
+    through it, never through a linear search.
+    """
+
+    p: int
+    k: int
+    tuples: tuple[IndexTuple, ...]
+    position: dict[IndexTuple, int]
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def __iter__(self):
+        return iter(self.tuples)
+
+
+@lru_cache(maxsize=None)
+def _ordered(p: int, k: int) -> tuple[IndexTuple, ...]:
+    if p == 0:
+        return (BASEPOINT,)
+    if p > k:
+        return ()
+    with_k = tuple(a + (k,) for a in _ordered(p - 1, k - 1))
+    without_k = _ordered(p, k - 1)
+    return with_k + without_k
+
+
+@lru_cache(maxsize=None)
+def enumerate_tuples(p: int, k: int) -> CanonicalOrder:
+    """Canonical order of the strictly increasing ``p``-tuples in ``{1..k}``.
+
+    Degenerate degrees return an empty order (``p > k``) or the basepoint
+    alone (``p == 0``); negative arguments are rejected.
+    """
+    if p < 0 or k < 0:
+        raise ValueError(f"degree and rank must be nonnegative, got p={p}, k={k}")
+    tuples = _ordered(p, k)
+    return CanonicalOrder(p, k, tuples, {a: i for i, a in enumerate(tuples)})
+
+
+def delete_coordinate(a: IndexTuple, i: int) -> IndexTuple:
+    """Remove the ``i``-th coordinate (1-based) of ``a``.
+
+    >>> delete_coordinate((1, 3, 4), 2)
+    (1, 4)
+    >>> delete_coordinate((1,), 1)
+    ()
+    """
+    if not 1 <= i <= len(a):
+        raise ValueError(f"coordinate {i} out of range for tuple of length {len(a)}")
+    return a[: i - 1] + a[i:]
+
+
+def partition_plus_minus(p: int, k: int) -> tuple[list[IndexTuple], list[IndexTuple]]:
+    """Split the canonical order into (tuples ending in ``k``, the rest).
+
+    The concatenation of the two parts reproduces the canonical order;
+    under it, the plus block is exactly the leading block.
+    """
+    order = enumerate_tuples(p, k)
+    plus = [a for a in order.tuples if a and a[-1] == k]
+    minus = [a for a in order.tuples if not a or a[-1] != k]
+    return plus, minus
+
+
+def psi(a: IndexTuple, k: int) -> IndexTuple:
+    """Drop the trailing ``k`` of a plus tuple.
+
+    Bijects the degree-``p`` plus block onto the degree-``p-1`` minus
+    block, preserving canonical order on both sides.
+    """
+    if not a or a[-1] != k:
+        raise ValueError(f"psi requires a tuple ending in {k}, got {a!r}")
+    return a[:-1]
+
+
+def phi(a: IndexTuple, k: int) -> IndexTuple:
+    """Reinterpret a rank ``k - 1`` tuple inside rank ``k``.
+
+    The entries are unchanged; the image is exactly the minus block of
+    rank ``k``, again in canonical order.
+    """
+    if any(x >= k for x in a):
+        raise ValueError(f"phi requires entries below {k}, got {a!r}")
+    return a
+
+
+def format_index_tuple(a: IndexTuple) -> str:
+    """Render a tuple the way row/column labels are printed: ``(1,3)`` or ``*``."""
+    if not a:
+        return "*"
+    return "(" + ",".join(str(x) for x in a) + ")"

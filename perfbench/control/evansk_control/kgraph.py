@@ -1,0 +1,203 @@
+"""Higher-rank graphs presented by commuting adjacency matrices.
+
+A rank-``k`` graph is carried here purely by its ``k`` coordinate
+adjacency matrices over a common vertex set.  Convention: ``M[v][w]``
+counts the degree-``e_i`` edges with range ``v`` and source ``w``, so the
+co-adjacency matrix ``B_i = I - M_i^T`` acts on column vectors indexed by
+vertices, and the rank-1 case reproduces the usual graph-algebra pairing
+(K0 = coker B, K1 = ker B).
+
+Structural defects (wrong matrix count, non-square, dimension mismatch)
+raise :class:`StructuralError` at construction.  Semantic defects against
+the standing hypotheses (nonnegative entries, no zero row, pairwise
+commuting matrices) are collected by :func:`validate` into a report with
+reproducible witnesses; nothing downstream will build a chain complex
+from an invalid spec.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from collections.abc import Sequence
+
+from .intmat import IntMatrix
+
+
+class StructuralError(ValueError):
+    """Malformed presentation: shapes or counts are wrong."""
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One violated hypothesis, with enough indices to reproduce it."""
+
+    kind: str  # "negative_entry" | "zero_row" | "non_commuting"
+    where: tuple[int, ...]
+    message: str
+
+    def __str__(self) -> str:
+        return self.message
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        if self.ok:
+            return "valid"
+        return "\n".join(str(v) for v in self.violations)
+
+
+class SpecValidationError(ValueError):
+    """Raised when an operation requiring a valid spec receives an invalid one."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        super().__init__("invalid k-graph spec:\n" + report.summary())
+
+
+@dataclass(frozen=True)
+class KGraphSpec:
+    """A k-graph presented by vertex labels and adjacency matrices.
+
+    ``adjacency[i]`` is the matrix of coordinate ``i + 1``.  Labels are
+    carried for reporting only; all mathematics is positional.
+    """
+
+    rank: int
+    vertices: tuple[str, ...]
+    adjacency: tuple[IntMatrix, ...]
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise StructuralError(f"rank must be >= 1, got {self.rank}")
+        n = len(self.vertices)
+        if n < 1:
+            raise StructuralError("at least one vertex is required")
+        if len(self.adjacency) != self.rank:
+            raise StructuralError(
+                f"expected {self.rank} adjacency matrices, got {len(self.adjacency)}"
+            )
+        for idx, m in enumerate(self.adjacency, start=1):
+            if m.shape() != (n, n):
+                raise StructuralError(
+                    f"adjacency matrix {idx} has shape {m.shape()}, expected {n}x{n}"
+                )
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def is_monoid(self) -> bool:
+        return len(self.vertices) == 1
+
+
+def monoid_spec(ms: Sequence[int], name_vertex: str = "v") -> KGraphSpec:
+    """Single-vertex spec with ``m_i`` loops of each degree."""
+    if not ms:
+        raise StructuralError("at least one loop count is required")
+    return KGraphSpec(
+        rank=len(ms),
+        vertices=(name_vertex,),
+        adjacency=tuple(IntMatrix(1, 1, [[m]]) for m in ms),
+    )
+
+
+def spec_from_matrices(mats: Sequence[Sequence[Sequence[int]]],
+                       vertices: Sequence[str] | None = None) -> KGraphSpec:
+    """Convenience constructor from nested lists; labels default to v0, v1, ..."""
+    adjacency = tuple(IntMatrix.from_rows(m) for m in mats)
+    if not adjacency:
+        raise StructuralError("at least one adjacency matrix is required")
+    n = adjacency[0].rows
+    if vertices is None:
+        vertices = tuple(f"v{i}" for i in range(n))
+    return KGraphSpec(rank=len(adjacency), vertices=tuple(vertices), adjacency=adjacency)
+
+
+def validate(spec: KGraphSpec) -> ValidationReport:
+    """Check the standing hypotheses and report every violation found.
+
+    Nonnegative entries and no zero row (source-free under the adjacency
+    convention) are checked per matrix; commutation is checked per pair
+    with a witness entry where the two products differ.
+    """
+    violations: list[Violation] = []
+    n = spec.num_vertices
+    for idx, m in enumerate(spec.adjacency, start=1):
+        for r in range(n):
+            row = m.row(r)
+            for c in range(n):
+                if row[c] < 0:
+                    violations.append(Violation(
+                        "negative_entry", (idx, r, c),
+                        f"adjacency matrix {idx} has negative entry {row[c]} at ({r},{c})",
+                    ))
+            if all(x == 0 for x in row):
+                violations.append(Violation(
+                    "zero_row", (idx, r),
+                    f"not source-free at vertex {spec.vertices[r]!r}: "
+                    f"row {r} of adjacency matrix {idx} is zero",
+                ))
+    for i in range(spec.rank):
+        for j in range(i + 1, spec.rank):
+            prod_ij = spec.adjacency[i] @ spec.adjacency[j]
+            prod_ji = spec.adjacency[j] @ spec.adjacency[i]
+            if prod_ij != prod_ji:
+                r, c = _first_difference(prod_ij, prod_ji)
+                violations.append(Violation(
+                    "non_commuting", (i + 1, j + 1, r, c),
+                    f"adjacency matrices {i + 1} and {j + 1} do not commute: "
+                    f"products differ at ({r},{c}): {prod_ij[r, c]} vs {prod_ji[r, c]}",
+                ))
+    return ValidationReport(tuple(violations))
+
+
+def _first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int]:
+    for r in range(a.rows):
+        for c in range(a.cols):
+            if a[r, c] != b[r, c]:
+                return r, c
+    raise AssertionError("matrices do not differ")
+
+
+def require_valid(spec: KGraphSpec) -> None:
+    report = validate(spec)
+    if not report.ok:
+        raise SpecValidationError(report)
+
+
+def coadjacency(spec: KGraphSpec, i: int) -> IntMatrix:
+    """The matrix ``I - M_i^T`` of coordinate ``i`` (1-based)."""
+    if not 1 <= i <= spec.rank:
+        raise ValueError(f"coordinate {i} out of range 1..{spec.rank}")
+    n = spec.num_vertices
+    return IntMatrix.identity(n) - spec.adjacency[i - 1].transpose()
+
+
+def coadjacencies(spec: KGraphSpec) -> list[IntMatrix]:
+    return [coadjacency(spec, i) for i in range(1, spec.rank + 1)]
+
+
+def coordinate_restriction(spec: KGraphSpec, j: int) -> KGraphSpec:
+    """Restrict to the first ``j`` coordinates (same vertices)."""
+    if not 1 <= j <= spec.rank:
+        raise ValueError(f"subrank {j} out of range 1..{spec.rank}")
+    return KGraphSpec(rank=j, vertices=spec.vertices, adjacency=spec.adjacency[:j])
+
+
+def permute_coordinates(spec: KGraphSpec, sigma: Sequence[int]) -> KGraphSpec:
+    """Reorder coordinates: the new coordinate ``i`` is the old ``sigma[i-1]``."""
+    if sorted(sigma) != list(range(1, spec.rank + 1)):
+        raise ValueError(f"not a permutation of 1..{spec.rank}: {list(sigma)!r}")
+    return KGraphSpec(
+        rank=spec.rank,
+        vertices=spec.vertices,
+        adjacency=tuple(spec.adjacency[s - 1] for s in sigma),
+    )

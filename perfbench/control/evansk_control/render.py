@@ -1,0 +1,116 @@
+"""Plain-text rendering of boundary matrices in the labeled-block layout.
+
+Rows and columns are labeled by their index tuples in canonical order.
+The plus/minus partition is drawn with a dotted column rule and a dashed
+row rule exactly when both partitions are nontrivial (``2 <= p <= k-1``),
+i.e. when the full 2x2 recursion shape is present; the degenerate top and
+bottom degrees print as plain single-block tables.
+
+Single-vertex specs render symbolically (``B2``, ``-B3``, ``0``) with a
+legend of numeric values, which keeps the block pattern auditable even
+when different coordinates share a value.  Everything else renders the
+integer matrix with one column per (tuple, vertex) pair.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+from .indexsets import delete_coordinate, enumerate_tuples, format_index_tuple
+from .intmat import IntMatrix
+from .kgraph import KGraphSpec, coadjacencies
+
+
+def symbolic_blocks(p: int, k: int) -> list[list[str]]:
+    """The sign/index pattern of the degree-``p`` boundary as strings."""
+    rows_order = enumerate_tuples(p - 1, k)
+    cols_order = enumerate_tuples(p, k)
+    grid = [["0"] * len(cols_order) for _ in range(len(rows_order))]
+    for cj, a in enumerate(cols_order.tuples):
+        for i in range(1, p + 1):
+            ri = rows_order.position[delete_coordinate(a, i)]
+            sign = "" if i % 2 == 1 else "-"
+            grid[ri][cj] = f"{sign}B{a[i - 1]}"
+    return grid
+
+
+def _partition_splits(p: int, k: int) -> tuple[int | None, int | None]:
+    if 2 <= p <= k - 1:
+        return comb(k - 1, p - 2), comb(k - 1, p - 1)
+    return None, None
+
+
+def _render_grid(
+    row_labels: list[str],
+    col_labels: list[str],
+    entries: list[list[str]],
+    row_split: int | None,
+    col_split: int | None,
+) -> str:
+    label_width = max((len(s) for s in row_labels), default=0)
+    widths = []
+    for j, label in enumerate(col_labels):
+        w = len(label)
+        for row in entries:
+            w = max(w, len(row[j]))
+        widths.append(w)
+
+    def line(label: str, cells: list[str]) -> str:
+        out = [label.rjust(label_width), " |"]
+        for j, cell in enumerate(cells):
+            if col_split is not None and j == col_split:
+                out.append(" :")
+            out.append(" " + cell.rjust(widths[j]))
+        return "".join(out)
+
+    header = line("", col_labels)
+    rule = "-" * (label_width + 1) + "+" + "-" * (len(header) - label_width - 2)
+    body = [header, rule]
+    for i, row in enumerate(entries):
+        if row_split is not None and i == row_split and i > 0:
+            dashed = ("- " * len(header))[: len(header)]
+            body.append(dashed)
+        body.append(line(row_labels[i], row))
+    return "\n".join(body)
+
+
+def render_symbolic_differential(p: int, k: int) -> str:
+    """Figure-style symbolic table for a single-vertex boundary."""
+    row_labels = [format_index_tuple(a) for a in enumerate_tuples(p - 1, k).tuples]
+    col_labels = [format_index_tuple(a) for a in enumerate_tuples(p, k).tuples]
+    row_split, col_split = _partition_splits(p, k)
+    return _render_grid(row_labels, col_labels, symbolic_blocks(p, k), row_split, col_split)
+
+
+def render_numeric_differential(matrix: IntMatrix, p: int, k: int,
+                                vertices: tuple[str, ...]) -> str:
+    n = len(vertices)
+    row_labels = [
+        f"{format_index_tuple(a)}:{v}"
+        for a in enumerate_tuples(p - 1, k).tuples
+        for v in vertices
+    ]
+    col_labels = [
+        f"{format_index_tuple(a)}:{v}"
+        for a in enumerate_tuples(p, k).tuples
+        for v in vertices
+    ]
+    entries = [[str(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    row_split, col_split = _partition_splits(p, k)
+    return _render_grid(
+        row_labels, col_labels, entries,
+        row_split * n if row_split is not None else None,
+        col_split * n if col_split is not None else None,
+    )
+
+
+def b_legend(spec: KGraphSpec) -> str:
+    values = [b[0, 0] for b in coadjacencies(spec)]
+    return "where " + ", ".join(f"B{i} = {v}" for i, v in enumerate(values, start=1))
+
+
+def render_differential(spec: KGraphSpec, matrix: IntMatrix, p: int) -> str:
+    """Symbolic table plus legend for one-vertex specs, numeric otherwise."""
+    if spec.is_monoid:
+        return render_symbolic_differential(p, spec.rank) + "\n" + b_legend(spec)
+    return render_numeric_differential(matrix, p, spec.rank, spec.vertices)
