@@ -19,22 +19,10 @@ torsion orders, never with unit factors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import ChainComplex, ChainComplexError, differential_product_witness
 from .snf import elementary_divisors, rank_from_divisors
-
-
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -85,21 +73,17 @@ class AbelianGroup:
             return AbelianGroup(self.free_rank + other.free_rank, self.torsion)
         if not self.torsion:
             return AbelianGroup(self.free_rank + other.free_rank, other.torsion)
-        powers: dict[int, list[int]] = {}
-        for t in self.torsion + other.torsion:
-            for prime, exp in _factor(t).items():
-                powers.setdefault(prime, []).append(exp)
-        depth = max(len(v) for v in powers.values())
-        factors = []
-        for slot in range(depth):
-            f = 1
-            for prime, exps in powers.items():
-                ordered = sorted(exps, reverse=True)
-                if slot < len(ordered):
-                    f *= prime ** ordered[slot]
-            factors.append(f)
-        factors.reverse()
-        return AbelianGroup(self.free_rank + other.free_rank, tuple(factors))
+        # Replacing a pair (a, b) by (gcd, lcm) keeps the group; sweeping
+        # every later slot into slot i leaves slot i dividing all of them.
+        factors = list(self.torsion + other.torsion)
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a // g * b
+        return AbelianGroup(
+            self.free_rank + other.free_rank, tuple(f for f in factors if f > 1)
+        )
 
     def __str__(self) -> str:
         parts = []

@@ -25,7 +25,7 @@ class IntMatrix:
             if len(r) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(r)}")
             for x in r:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"matrix entries must be ints, got {type(x).__name__}")
             frozen.append(tuple(r))
         self._data: tuple[tuple[int, ...], ...] = tuple(frozen)
@@ -66,6 +66,10 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
+
+    def _sparse_rows(self) -> list[dict[int, int]]:
+        # Internal: one fresh dict per row, column -> nonzero entry.
+        return [{c: x for c, x in enumerate(r) if x} for r in self._data]
 
     def transpose(self) -> IntMatrix:
         if self.rows == 0:

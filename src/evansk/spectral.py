@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from collections.abc import Sequence
 
 from .complexes import build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
-from .kgraph import KGraphSpec, coadjacencies, monoid_spec, require_valid
+from .kgraph import KGraphSpec, coadjacencies, monoid_spec
 
 
 @dataclass(frozen=True)
@@ -149,32 +149,34 @@ def kunneth_check(b_values: Sequence[int]) -> KunnethReport:
 
 def _ses_middle_candidates(g: int) -> str:
     """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0."""
-    names = []
-    for d in range(1, g + 1):
-        if g % d == 0:
-            names.append(str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d))))
-    seen: list[str] = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return ", ".join(seen)
+    small = [d for d in range(1, isqrt(g) + 1) if g % d == 0]
+    large = [g // d for d in reversed(small) if d * d != g]
+    names = (
+        str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d)))
+        for d in small + large
+    )
+    return ", ".join(dict.fromkeys(names))
 
 
 def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
-    """Build, compute homology, and apply the first matching rule."""
-    require_valid(spec)
+    """Build, compute homology, and apply the first matching rule.
+
+    ``build_complex`` validates the spec first, so an invalid spec raises
+    :class:`~evansk.kgraph.SpecValidationError` before any other work.
+    """
     k = spec.rank
     hs = homology(build_complex(spec), check=False)
     page = e2_page(hs, k)
     bs = coadjacencies(spec)
 
     for i, b in enumerate(bs, start=1):
-        if b.det() in (1, -1):
+        det = b.det()
+        if det in (1, -1):
             return KTheoryVerdict(
                 kind=VerdictKind.TRIVIAL, rule="R1", e2=page,
                 k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
                 justification=(
-                    f"co-adjacency matrix B{i} is unimodular (det = {b.det()}), "
+                    f"co-adjacency matrix B{i} is unimodular (det = {det}), "
                     "so the whole complex is exact and K-theory vanishes"
                 ),
             )

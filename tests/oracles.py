@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
 Deliberately naive implementations: cofactor-expansion determinants,
-divisor chains from gcds of minors, and unimodular matrices assembled
-from elementary operations with the inverse tracked alongside.  Nothing
-here calls into the library's elimination code, so these stay valid as
-cross-checks no matter how the library evolves.
+divisor chains from gcds of minors, the ``d o d`` witness from dense
+products, and unimodular matrices assembled from elementary operations
+with the inverse tracked alongside.  Nothing here calls into the
+library's elimination code, so these stay valid as cross-checks no
+matter how the library evolves.
 """
 
 from __future__ import annotations
@@ -53,6 +54,18 @@ def minor_gcd_divisors(rows: list[list[int]]) -> tuple[int, ...]:
         divisors.append(gs[i] // gs[i - 1])
     divisors += [0] * (limit - len(divisors))
     return tuple(divisors)
+
+
+def dense_product_witness(cc) -> tuple[int, int, int, int] | None:
+    """First nonzero entry of any ``d_p @ d_(p+1)``, scanning each dense
+    product in row-major order."""
+    for p in range(1, cc.length):
+        prod = cc.boundary(p) @ cc.boundary(p + 1)
+        for r in range(prod.rows):
+            for c in range(prod.cols):
+                if prod[r, c] != 0:
+                    return (p, r, c, prod[r, c])
+    return None
 
 
 def random_unimodular(n: int, rng, ops: int | None = None) -> tuple[IntMatrix, IntMatrix]:

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evansk import (
     ChainComplex,
@@ -20,6 +21,9 @@ from evansk import (
     tensor_monoid_complex,
     tensor_two,
 )
+from evansk.corpus import random_polynomial_documents
+
+from oracles import dense_product_witness
 
 
 def blocks_of(matrix, p, k, n=1):
@@ -198,3 +202,42 @@ def test_homology_rejects_non_complex():
     with pytest.raises(ChainComplexError) as info:
         homology(bad)
     assert info.value.degree == 1 and info.value.value == 1
+
+
+def test_witness_matches_dense_scan_on_valid_complexes():
+    specs = [monoid_spec(ms) for ms in ((2, 3, 4, 5), (3, 5, 7), (2, 2, 2, 2, 2))]
+    specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
+    for spec in specs:
+        cc = build_complex(spec)
+        assert differential_product_witness(cc) is None
+        assert dense_product_witness(cc) is None
+
+
+def test_witness_matches_dense_scan_on_non_commuting_control():
+    spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
+    bs = (build_differential_direct(spec, 1), build_differential_direct(spec, 2))
+    cc = ChainComplex(2, (2, 4, 2), bs)
+    witness = differential_product_witness(cc)
+    assert witness is not None
+    assert witness == dense_product_witness(cc)
+
+
+@st.composite
+def chain_complexes(draw):
+    length = draw(st.integers(1, 4))
+    ranks = tuple(draw(st.integers(0, 5)) for _ in range(length + 1))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2 ** 66])
+    boundaries = tuple(
+        IntMatrix(ranks[p - 1], ranks[p],
+                  [[draw(entries) for _ in range(ranks[p])] for _ in range(ranks[p - 1])])
+        for p in range(1, length + 1)
+    )
+    return ChainComplex(length, ranks, boundaries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_complexes())
+def test_witness_matches_dense_scan_on_arbitrary_boundaries(cc):
+    # Random boundaries rarely square to zero: the first (p, r, c, value)
+    # in degree, then row-major, order must agree exactly.
+    assert differential_product_witness(cc) == dense_product_witness(cc)

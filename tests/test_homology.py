@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evansk import (
     TRIVIAL_GROUP,
@@ -11,6 +12,7 @@ from evansk import (
     homology,
     monoid_spec,
     permute_coordinates,
+    smith_normal_form,
     spec_from_matrices,
 )
 
@@ -133,3 +135,18 @@ def test_check_flag_catches_bad_products():
     )
     with pytest.raises(ValueError):
         homology(bad, check=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 60), max_size=6), st.lists(st.integers(0, 60), max_size=6))
+def test_direct_sum_matches_snf_of_block_diagonal(xs, ys):
+    def group(orders):
+        g = TRIVIAL_GROUP
+        for order in orders:
+            g = g.direct_sum(AbelianGroup.cyclic(order))
+        return g
+
+    diag = [[x if i == j else 0 for j in range(len(xs + ys))] for i, x in enumerate(xs + ys)]
+    divisors = smith_normal_form(IntMatrix(len(diag), len(diag), diag)).divisors
+    expected = AbelianGroup(divisors.count(0), tuple(d for d in divisors if d > 1))
+    assert group(xs).direct_sum(group(ys)) == expected

@@ -21,6 +21,10 @@ def test_constructor_rejects_non_ints():
         IntMatrix(1, 1, [[1.5]])
     with pytest.raises(TypeError):
         IntMatrix(1, 1, [["3"]])
+    with pytest.raises(TypeError):
+        IntMatrix(1, 2, [[1, True]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[False]])
 
 
 def test_basic_accessors():

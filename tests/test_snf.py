@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evansk import IntMatrix, elementary_divisors, rank_from_divisors, smith_normal_form
 
@@ -110,3 +111,48 @@ def test_entry_growth_is_handled_exactly():
     res = smith_normal_form(m)
     assert_certified(m, res)
     assert res.divisors[0] == 2  # gcd of all entries
+
+
+# Entries mix units, zeros, small non-units and values past 2**64, so the
+# unit-pivot pre-pass of elementary_divisors meets fill-in, rows and
+# columns that vanish, and residues that need the dense elimination.
+ENTRIES = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6]),
+    st.integers(-(2 ** 70), 2 ** 70),
+)
+
+
+@st.composite
+def matrices(draw, entries=ENTRIES, max_side=7):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return IntMatrix(rows, cols, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_divisors_match_certified_snf(m):
+    assert elementary_divisors(m) == smith_normal_form(m).divisors
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(entries=st.sampled_from([0, 0, 2, -2, 4, 6, -9]), max_side=5))
+def test_divisors_without_unit_entries(m):
+    assert elementary_divisors(m) == smith_normal_form(m).divisors
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_side=4))
+def test_divisors_match_minor_oracle(m):
+    assert elementary_divisors(m) == minor_gcd_divisors(m.to_lists())
+
+
+def test_divisors_with_zero_rows_and_columns():
+    m = IntMatrix.from_rows([[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 0, 4]])
+    assert elementary_divisors(m) == (1, 2, 0, 0)
+    assert elementary_divisors(IntMatrix.zeros(3, 5)) == (0, 0, 0)
+    assert elementary_divisors(IntMatrix.identity(4)) == (1, 1, 1, 1)
+    # Units only, with fill-in from the first pivot: the residue is empty.
+    m = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]])
+    assert elementary_divisors(m) == smith_normal_form(m).divisors == (1, 1, 0)

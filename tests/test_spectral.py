@@ -207,3 +207,22 @@ def test_verdict_serialization_shape():
     assert d["K1"] == {"free_rank": 0, "torsion": [2, 2], "pretty": "Z2^2"}
     assert d["ses"]["sub"]["pretty"] == "Z2"
     assert len(d["e2"]["columns"]) == 4
+
+
+def test_verdict_r4_large_prime_gcd_commentary():
+    g = 10 ** 6 + 3  # prime: the candidates are Zg^2 and Z(g^2)
+    v = k_theory_verdict(monoid_spec([g + 1] * 3))
+    assert v.rule == "R4"
+    assert v.commentary == (
+        "possible K0 up to isomorphism (not determined): Z1000003^2, Z1000006000009"
+    )
+
+
+def test_verdict_r4_commentary_for_g_with_many_divisors():
+    # g = 2^12 5^12: one candidate Z(g*2^a*5^b) x Z(g/(2^a*5^b)) per
+    # pair of exponents, listed in ascending order of the divisor.
+    v = k_theory_verdict(monoid_spec([10 ** 12 + 1] * 3))
+    names = v.commentary.split(": ", 1)[1].split(", ")
+    assert len(names) == 13 * 13
+    assert names[:2] == ["Z1000000000000^2", "Z500000000000 x Z2000000000000"]
+    assert names[-1] == "Z1000000000000000000000000"
