@@ -96,27 +96,14 @@ class ChainComplex:
 
 
 def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] | None:
-    """First nonzero entry of any consecutive product, or None if d o d = 0.
-
-    This is still the full exact product: every entry of every
-    ``d_p @ d_(p+1)`` is computed in Python ints, and the witness is the
-    first nonzero one in degree order, then row-major order.  Only the
-    multiply-adds with a zero factor are skipped: the nonzeros of each
-    boundary's rows are indexed once, and each output row accumulates
-    ``d_p``'s nonzero entries times the matching rows of ``d_(p+1)``.
-    """
-    sparse = [b._sparse_rows() for b in cc.boundaries]
+    """First nonzero entry of any consecutive product, or None if d o d = 0."""
     for p in range(1, cc.length):
-        right = sparse[p]  # rows of d_(p+1)
-        width = cc.ranks[p + 1]
-        for r, row in enumerate(sparse[p - 1]):
-            acc = [0] * width
-            for j, a in row.items():
-                for c, b in right[j].items():
-                    acc[c] += a * b
-            if any(acc):
-                c = next(c for c, x in enumerate(acc) if x)
-                return (p, r, c, acc[c])
+        prod = cc.boundary(p) @ cc.boundary(p + 1)
+        for r in range(prod.rows):
+            row = prod.row(r)
+            for c in range(prod.cols):
+                if row[c] != 0:
+                    return (p, r, c, row[c])
     return None
 
 

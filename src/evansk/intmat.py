@@ -25,7 +25,7 @@ class IntMatrix:
             if len(r) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(r)}")
             for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                     raise TypeError(f"matrix entries must be ints, got {type(x).__name__}")
             frozen.append(tuple(r))
         self._data: tuple[tuple[int, ...], ...] = tuple(frozen)

@@ -9,7 +9,8 @@ cokernel's free part.  ``U @ M @ V == S`` holds exactly with unimodular
 
 :func:`elementary_divisors` serves the homology pipeline, which only
 needs ranks and divisors.  It first runs an exact unit-pivot elimination
-on row-sparse data: take a +-1 entry in the shortest row that has one,
+on row-sparse data: take a +-1 entry in a shortest row that has one
+(in the sparsest column among those rows' units, to keep fill-in low),
 clear its column with integer row operations, drop that row and column,
 and repeat until no unit entry is left.  Each step is a unimodular change
 of basis that splits off a ``[1]`` block (column operations clear the
@@ -23,6 +24,7 @@ residue is a fraction of the input.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .intmat import IntMatrix
@@ -49,54 +51,70 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    limit = min(m.rows, m.cols)
-    rows = m._sparse_rows()
-    units = _unit_pivots(rows)
-    divisors = (1,) * units
-    residue = _compact([row for row in rows if row]) if units else m
+    units, residue, diagonal = 0, m, ()
+    if any(1 in r or -1 in r for r in m._data):  # else there is no pivot to take
+        rows = m._sparse_rows()
+        units = _unit_pivots(rows)
+        residue = _compact([row for row in rows if row])
     if residue.rows:
         s, _, _ = _eliminate(residue, track=False)
-        diagonal = (s[i][i] for i in range(min(residue.rows, residue.cols)))
-        divisors += tuple(d for d in diagonal if d)  # zeros trail; padded back below
-    return divisors + (0,) * (limit - len(divisors))
+        diagonal = tuple(s[i][i] for i in range(min(residue.rows, residue.cols)))
+    # Each pivot took a row and a column, so units + len(diagonal) is at
+    # most min(rows, cols); the residue's zeros trail, and so do the pads.
+    return (1,) * units + diagonal + (0,) * (min(m.rows, m.cols) - units - len(diagonal))
 
 
 def _unit_pivots(rows: list[dict[int, int]]) -> int:
     """Eliminate unit pivots from row-sparse ``rows`` in place.
 
-    Each step takes a +-1 entry in the shortest row that has one, clears
-    its column from every other row by an exact integer row operation,
-    and drops the pivot row; the pivot column is then zero in what is
+    Each step takes a +-1 entry in a shortest row that has one, in the
+    column with the fewest entries among those rows' units, so that the
+    step adds few new nonzeros (a Markowitz-style choice); clears its
+    column from every other row by an exact integer row operation; and
+    empties the pivot row.  The pivot column is then zero in what is
     left.  Returns the number of pivots taken.
     """
-    unit = [1 in row.values() or -1 in row.values() for row in rows]
+    unit = {i for i, row in enumerate(rows) if 1 in row.values() or -1 in row.values()}
+    where: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
     taken = 0
-    while True:
-        best = -1
-        for i, has in enumerate(unit):
-            if has and (best < 0 or len(rows[i]) < len(rows[best])):
-                best = i
-        if best < 0:
-            return taken
-        pivot = rows[best]
-        rows[best], unit[best] = rows[-1], unit[-1]  # row order is immaterial
-        rows.pop()
-        unit.pop()
-        col = next(c for c, x in pivot.items() if x == 1 or x == -1)
+    while unit:
+        shortest = min(len(rows[i]) for i in unit)
+        best, fewest = None, 0
+        for i in unit:
+            row = rows[i]
+            if len(row) == shortest:
+                for c, x in row.items():
+                    if (x == 1 or x == -1) and (best is None or len(where[c]) < fewest):
+                        best, fewest = (i, c), len(where[c])
+        pi, col = best
+        pivot, rows[pi] = rows[pi], {}
+        unit.discard(pi)
+        for c in pivot:
+            where[c].discard(pi)
         sign = pivot[col]
-        for i, row in enumerate(rows):
-            x = row.get(col)
-            if x is not None:
-                q = x * sign
-                for c, y in pivot.items():
-                    v = row.get(c, 0) - q * y
-                    if v:
-                        row[c] = v
-                    else:
-                        del row[c]
-                values = row.values()
-                unit[i] = 1 in values or -1 in values
+        for i in where.pop(col):
+            row = rows[i]
+            q = row[col] * sign
+            for c, y in pivot.items():
+                v = row.get(c, 0) - q * y
+                if v:
+                    if c not in row:
+                        where[c].add(i)
+                    row[c] = v
+                else:
+                    del row[c]
+                    if c != col:
+                        where[c].discard(i)
+            values = row.values()
+            if 1 in values or -1 in values:
+                unit.add(i)
+            else:
+                unit.discard(i)
         taken += 1
+    return taken
 
 
 def _compact(rows: list[dict[int, int]]) -> IntMatrix:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from collections.abc import Sequence
 
 from .complexes import build_complex
@@ -149,11 +149,10 @@ def kunneth_check(b_values: Sequence[int]) -> KunnethReport:
 
 def _ses_middle_candidates(g: int) -> str:
     """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0."""
-    small = [d for d in range(1, isqrt(g) + 1) if g % d == 0]
-    large = [g // d for d in reversed(small) if d * d != g]
     names = (
         str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d)))
-        for d in small + large
+        for d in range(1, g + 1)
+        if g % d == 0
     )
     return ", ".join(dict.fromkeys(names))
 

@@ -219,10 +219,10 @@ def test_verdict_r4_large_prime_gcd_commentary():
 
 
 def test_verdict_r4_commentary_for_g_with_many_divisors():
-    # g = 2^12 5^12: one candidate Z(g*2^a*5^b) x Z(g/(2^a*5^b)) per
-    # pair of exponents, listed in ascending order of the divisor.
-    v = k_theory_verdict(monoid_spec([10 ** 12 + 1] * 3))
+    # g = 2^6 5^6: one candidate Z(g*2^a*5^b) x Z(g/(2^a*5^b)) per pair
+    # of exponents, listed in ascending order of the divisor.
+    v = k_theory_verdict(monoid_spec([10 ** 6 + 1] * 3))
     names = v.commentary.split(": ", 1)[1].split(", ")
-    assert len(names) == 13 * 13
-    assert names[:2] == ["Z1000000000000^2", "Z500000000000 x Z2000000000000"]
-    assert names[-1] == "Z1000000000000000000000000"
+    assert len(names) == 7 * 7
+    assert names[:2] == ["Z1000000^2", "Z500000 x Z2000000"]
+    assert names[-1] == "Z1000000000000"
