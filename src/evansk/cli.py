@@ -19,6 +19,7 @@ with unused sections null.  Exit status: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,10 +29,10 @@ from .complexes import build_complex
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .homology import homology
-from .indexsets import enumerate_tuples, format_index_tuple
-from .kgraph import StructuralError, validate
+from .indexsets import format_index_tuple
+from .kgraph import SpecValidationError, StructuralError, ValidationReport, validate
 from .render import render_differential
-from .spectral import e2_page, k_theory_verdict
+from .spectral import e2_page, verdict_from_homology
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,7 +45,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace each call.
     parser = argparse.ArgumentParser(
         prog="evansk",
         description="Evans chain complexes of higher-rank graphs: exact homology, "
@@ -119,20 +122,27 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _labels(spec, p: int) -> list[str]:
-    return [
-        f"{format_index_tuple(a)}:{v}"
-        for a in enumerate_tuples(p, spec.rank).tuples
-        for v in spec.vertices
-    ]
+def _labels(cc, p: int) -> list[str]:
+    return [f"{format_index_tuple(a)}:{v}" for a, v in cc.basis_labels[p]]
 
 
 def _make_command(command: str):
     def run(args: argparse.Namespace) -> int:
         doc = load_document(args.file)
         spec = doc.spec
-        report = validate(spec)
         out = _report_skeleton(command, doc)
+        timings: dict[str, float] = {}
+        t0 = time.perf_counter()
+        if command == "validate":
+            report = validate(spec)
+        else:
+            try:  # build_complex validates first; its refusal carries the report
+                cc = build_complex(spec)
+            except SpecValidationError as exc:
+                report = exc.report
+            else:
+                report = ValidationReport(())
+        timings["build"] = time.perf_counter() - t0
         out["validation"] = _validation_dict(report)
         if not report.ok:
             if args.format == "json":
@@ -153,11 +163,6 @@ def _make_command(command: str):
                 return 2
             degrees = range(args.degree, args.degree + 1)
 
-        timings: dict[str, float] = {}
-        t0 = time.perf_counter()
-        cc = build_complex(spec)
-        timings["build"] = time.perf_counter() - t0
-
         text_lines: list[str] = []
         if command == "complex":
             out["complex"] = {
@@ -167,8 +172,8 @@ def _make_command(command: str):
                         "degree": p,
                         "rows": cc.boundary(p).rows,
                         "cols": cc.boundary(p).cols,
-                        "row_labels": _labels(spec, p - 1),
-                        "col_labels": _labels(spec, p),
+                        "row_labels": _labels(cc, p - 1),
+                        "col_labels": _labels(cc, p),
                         "matrix": cc.boundary(p).to_lists(),
                     }
                     for p in degrees
@@ -194,7 +199,7 @@ def _make_command(command: str):
                 )
             else:  # verdict
                 t2 = time.perf_counter()
-                verdict = k_theory_verdict(spec)
+                verdict = verdict_from_homology(spec, groups)
                 timings["verdict"] = time.perf_counter() - t2
                 out["verdict"] = verdict.to_dict()
                 text_lines.append(_verdict_line(verdict))

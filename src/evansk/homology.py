@@ -52,12 +52,13 @@ class AbelianGroup:
 
     @classmethod
     def cyclic(cls, order: int, copies: int = 1) -> AbelianGroup:
-        """``copies`` summands of Z/order; order 0 means Z, order 1 is trivial."""
+        """``copies`` summands of Z/order; order 0 means Z, order ±1 is trivial."""
+        order = abs(order)
         if order == 0:
             return cls(free_rank=copies)
         if order == 1:
             return cls()
-        return cls(torsion=(abs(order),) * copies)
+        return cls(torsion=(order,) * copies)
 
     @property
     def is_trivial(self) -> bool:

@@ -163,8 +163,13 @@ def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
     ``build_complex`` validates the spec first, so an invalid spec raises
     :class:`~evansk.kgraph.SpecValidationError` before any other work.
     """
+    return verdict_from_homology(spec, homology(build_complex(spec), check=False))
+
+
+def verdict_from_homology(spec: KGraphSpec, hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
+    """Apply the first matching rule to a valid spec and its homology
+    ``hs`` in degrees ``0..k``; nothing is rebuilt or revalidated."""
     k = spec.rank
-    hs = homology(build_complex(spec), check=False)
     page = e2_page(hs, k)
     bs = coadjacencies(spec)
 

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evansk import dumps_document, loads_documents
 from evansk.cli import main
-from evansk.corpus import monoid_document
+from evansk.complexes import build_complex
+from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
-from evansk.kgraph import spec_from_matrices
+from evansk.homology import homology
+from evansk.kgraph import SpecValidationError, spec_from_matrices, validate
+from evansk.spectral import e2_page, k_theory_verdict
+
+NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
 
 REPORT_KEYS = {
     "command", "name", "k", "vertices", "validation",
@@ -23,10 +32,7 @@ def monoid_file(tmp_path):
 
 @pytest.fixture
 def invalid_file(tmp_path):
-    doc = GraphDocument(
-        spec=spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]]),
-        name="non-commuting",
-    )
+    doc = GraphDocument(spec=NON_COMMUTING, name="non-commuting")
     path = tmp_path / "bad.json"
     path.write_text(dumps_document(doc), encoding="utf-8")
     return str(path)
@@ -173,3 +179,102 @@ def test_gen_to_file(tmp_path):
                  "--out", str(target)]) == 0
     docs = loads_documents(target.read_text(encoding="utf-8"))
     assert [d.spec.adjacency[0][0, 0] for d in docs] == [1, 2, 3]
+
+
+def _json_verdict(spec, path) -> tuple[int, dict]:
+    path.write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(["verdict", str(path), "--format", "json"])
+    return status, json.loads(buf.getvalue())
+
+
+def _assert_verdict_parity(spec, path) -> None:
+    status, report = _json_verdict(spec, path)
+    checked = validate(spec)
+    assert report["validation"] == {
+        "valid": checked.ok,
+        "violations": [
+            {"kind": v.kind, "where": list(v.where), "message": v.message}
+            for v in checked.violations
+        ],
+    }
+    if not checked.ok:
+        assert status == 1
+        assert report["homology"] is report["e2"] is report["verdict"] is None
+        with pytest.raises(SpecValidationError):
+            k_theory_verdict(spec)
+        return
+    assert status == 0
+    groups = homology(build_complex(spec))
+    assert report["homology"] == [g.to_dict() for g in groups]
+    assert report["e2"] == e2_page(groups, spec.rank).to_dict()
+    assert report["verdict"] == k_theory_verdict(spec).to_dict()
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32))
+def test_verdict_report_matches_library(tmp_path_factory, count, seed):
+    path = tmp_path_factory.mktemp("parity") / "doc.json"
+    for doc in random_polynomial_documents(count, seed):
+        _assert_verdict_parity(doc.spec, path)
+
+
+def test_verdict_report_matches_library_when_invalid(tmp_path):
+    _assert_verdict_parity(NON_COMMUTING, tmp_path / "bad.json")
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every evansk module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("evansk")]:
+        if vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, status", [
+    (monoid_document([3, 5, 7]).spec, 0),
+    (monoid_document([1, 1]).spec, 0),
+    (monoid_document([2, 4, 6, 8]).spec, 0),
+    (NON_COMMUTING, 1),
+])
+def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
+    validations = _count_calls(monkeypatch, validate)
+    builds = _count_calls(monkeypatch, build_complex)
+    assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
+    assert (len(validations), len(builds)) == (1, 1)
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(dumps_document(monoid_document([2, 3, 4, 5])), encoding="utf-8")
+    target = tmp_path / "d2.txt"
+    assert main(["complex", str(path), "--degree", "2", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    written = target.read_text(encoding="utf-8")
+    assert "d_2 (" in written and "d_1 (" not in written
+
+    assert main(["complex", str(path)]) == 0
+    full = capsys.readouterr().out
+    assert all(f"d_{p} (" in full for p in range(1, 5))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", str(path), "--degree", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    assert main(["complex", str(path)]) == 0
+    assert capsys.readouterr().out == full
+
+
+def test_validation_failure_precedes_degree_error(invalid_file, capsys):
+    assert main(["complex", invalid_file, "--degree", "9"]) == 1
+    captured = capsys.readouterr()
+    assert "do not commute" in captured.out
+    assert captured.err == ""

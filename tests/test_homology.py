@@ -109,6 +109,8 @@ def test_cyclic_constructor():
     assert AbelianGroup.cyclic(0, 3) == AbelianGroup.free(3)
     assert AbelianGroup.cyclic(1, 5) == TRIVIAL_GROUP
     assert AbelianGroup.cyclic(-4) == AbelianGroup(0, (4,))
+    assert AbelianGroup.cyclic(-1, 3) == TRIVIAL_GROUP
+    assert AbelianGroup.cyclic(-2) == AbelianGroup(0, (2,))
 
 
 def test_group_to_dict():
