@@ -9,7 +9,6 @@ page of the convergence spectral sequence, and report what that page does
 from .complexes import (
     ChainComplex,
     ChainComplexError,
-    TwoTermComplex,
     build_complex,
     build_differential_direct,
     build_differential_recursive,
@@ -33,12 +32,10 @@ from .indexsets import (
     BASEPOINT,
     CanonicalOrder,
     IndexTuple,
+    boundary_pattern,
     delete_coordinate,
     enumerate_tuples,
     format_index_tuple,
-    partition_plus_minus,
-    phi,
-    psi,
 )
 from .intmat import IntMatrix
 from .kgraph import (
@@ -49,7 +46,6 @@ from .kgraph import (
     Violation,
     coadjacencies,
     coadjacency,
-    coordinate_restriction,
     monoid_spec,
     permute_coordinates,
     spec_from_matrices,
@@ -59,11 +55,9 @@ from .snf import SnfResult, elementary_divisors, rank_from_divisors, smith_norma
 from .spectral import (
     E2Page,
     KTheoryVerdict,
-    KunnethReport,
     VerdictKind,
     e2_page,
     k_theory_verdict,
-    kunneth_check,
     monoid_closed_form,
     monoid_gcd,
 )
@@ -83,21 +77,19 @@ __all__ = [
     "IntMatrix",
     "KGraphSpec",
     "KTheoryVerdict",
-    "KunnethReport",
     "SnfResult",
     "SpecValidationError",
     "StructuralError",
     "TRIVIAL_GROUP",
-    "TwoTermComplex",
     "ValidationReport",
     "VerdictKind",
     "Violation",
+    "boundary_pattern",
     "build_complex",
     "build_differential_direct",
     "build_differential_recursive",
     "coadjacencies",
     "coadjacency",
-    "coordinate_restriction",
     "delete_coordinate",
     "differential_product_witness",
     "document_from_dict",
@@ -110,17 +102,13 @@ __all__ = [
     "format_index_tuple",
     "homology",
     "k_theory_verdict",
-    "kunneth_check",
     "load_document",
     "loads_document",
     "loads_documents",
     "monoid_closed_form",
     "monoid_gcd",
     "monoid_spec",
-    "partition_plus_minus",
     "permute_coordinates",
-    "phi",
-    "psi",
     "rank_from_divisors",
     "smith_normal_form",
     "spec_from_matrices",

@@ -29,7 +29,6 @@ from .complexes import build_complex
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .homology import homology
-from .indexsets import format_index_tuple
 from .kgraph import SpecValidationError, StructuralError, ValidationReport, validate
 from .render import render_differential
 from .spectral import e2_page, verdict_from_homology
@@ -122,10 +121,6 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _labels(cc, p: int) -> list[str]:
-    return [f"{format_index_tuple(a)}:{v}" for a, v in cc.basis_labels[p]]
-
-
 def _make_command(command: str):
     def run(args: argparse.Namespace) -> int:
         doc = load_document(args.file)
@@ -172,8 +167,8 @@ def _make_command(command: str):
                         "degree": p,
                         "rows": cc.boundary(p).rows,
                         "cols": cc.boundary(p).cols,
-                        "row_labels": _labels(cc, p - 1),
-                        "col_labels": _labels(cc, p),
+                        "row_labels": cc.labels(p - 1),
+                        "col_labels": cc.labels(p),
                         "matrix": cc.boundary(p).to_lists(),
                     }
                     for p in degrees
@@ -182,7 +177,7 @@ def _make_command(command: str):
             text_lines.append(f"k = {k}, ranks = {list(cc.ranks)}")
             for p in degrees:
                 text_lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
-                text_lines.append(render_differential(spec, cc.boundary(p), p))
+                text_lines.append(render_differential(cc, p))
         else:
             t1 = time.perf_counter()
             groups = homology(cc, check=False)
@@ -199,7 +194,7 @@ def _make_command(command: str):
                 )
             else:  # verdict
                 t2 = time.perf_counter()
-                verdict = verdict_from_homology(spec, groups)
+                verdict = verdict_from_homology(spec, cc, groups)
                 timings["verdict"] = time.perf_counter() - t2
                 out["verdict"] = verdict.to_dict()
                 text_lines.append(_verdict_line(verdict))

@@ -1,4 +1,4 @@
-"""The Evans chain complex of a k-graph, built two independent ways.
+"""The Evans chain complex of a k-graph.
 
 Degree ``p`` of the complex is one copy of ``Z^n`` (n = number of
 vertices) per strictly increasing ``p``-tuple, in the canonical order of
@@ -6,21 +6,24 @@ vertices) per strictly increasing ``p``-tuple, in the canonical order of
 the block of ``a`` with its ``i``-th coordinate deleted, through
 ``(-1)^(i+1) B_{a_i}`` where ``B_j = I - M_j^T``.
 
-Two constructions are provided and must agree entrywise:
+Every boundary is filled in from that signed-deletion pattern,
+:func:`~evansk.indexsets.boundary_pattern`, which depends on ``(k, p)``
+only.  The paper presents the same map as a block recursion on the top
+coordinate ``j``:
 
-* the direct construction places each signed co-adjacency block by
-  explicitly deleting coordinates;
-* the recursive construction peels off the top coordinate ``j``:
+.. code-block:: text
 
-  .. code-block:: text
+    d[j, p] = | d[j-1, p-1]        0        |
+              | (-1)^(p+1) B_j   d[j-1, p]  |
 
-      d[j, p] = | d[j-1, p-1]        0        |
-                | (-1)^(p+1) B_j   d[j-1, p]  |
+where the top block row is empty for p = 1, the right block column is
+empty for p = j, the base case is d[1, 1] = B_1, and the signed block is
+B_j repeated once per tuple ending in j (dropping the trailing j maps
+those tuples onto the degree ``p - 1`` tuples avoiding j, in order, so
+the block is literally block-diagonal).
 
-  where the top block row is empty for p = 1, the right block column is
-  empty for p = j, the base case is d[1, 1] = B_1, and the signed block is
-  B_j repeated once per tuple ending in j (the plus/minus bijection makes
-  it literally block-diagonal).
+:func:`build_differential_recursive` builds that recursion; it stays off
+the build path as an independent cross-check of the pattern.
 
 Single-vertex complexes are also isomorphic to an iterated tensor of the
 two-term complexes ``0 -> Z -(B_j)-> Z -> 0``; :func:`tensor_two` and
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from collections.abc import Sequence
 
-from .indexsets import IndexTuple, delete_coordinate, enumerate_tuples
+from .indexsets import IndexTuple, boundary_pattern, enumerate_tuples, format_index_tuple
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, coadjacencies, require_valid
 
@@ -61,13 +64,15 @@ class ChainComplex:
     ``boundaries[p-1]`` is the map from degree ``p`` to degree ``p - 1``
     and has shape ``ranks[p-1] x ranks[p]``.  ``basis_labels``, when
     present, lists the (index tuple, vertex) pair behind each coordinate
-    of each degree.
+    of each degree; ``coadjacencies``, when present, are the ``B_i`` the
+    boundaries were built from.
     """
 
     length: int
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
     basis_labels: BasisLabels | None = None
+    coadjacencies: tuple[IntMatrix, ...] | None = None
 
     def __post_init__(self):
         if len(self.ranks) != self.length + 1:
@@ -94,6 +99,10 @@ class ChainComplex:
             return IntMatrix.zeros(self.ranks[self.length], 0)
         raise ValueError(f"degree {p} out of range 0..{self.length + 1}")
 
+    def labels(self, p: int) -> list[str]:
+        """The degree-``p`` coordinates as printed: ``(1,3):v`` or ``*:v``."""
+        return [f"{format_index_tuple(a)}:{v}" for a, v in self.basis_labels[p]]
+
 
 def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] | None:
     """First nonzero entry of any consecutive product, or None if d o d = 0."""
@@ -107,36 +116,28 @@ def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] 
     return None
 
 
-def _direct_from_blocks(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
-    rows_order = enumerate_tuples(p - 1, k)
-    cols_order = enumerate_tuples(p, k)
-    data = [[0] * (len(cols_order) * n) for _ in range(len(rows_order) * n)]
-    for cj, a in enumerate(cols_order.tuples):
-        for i in range(1, p + 1):
-            b = delete_coordinate(a, i)
-            ri = rows_order.position[b]
-            block = bs[a[i - 1] - 1]
-            negate = i % 2 == 0
-            for r in range(n):
-                row = data[ri * n + r]
-                brow = block.row(r)
-                base = cj * n
-                for c in range(n):
-                    row[base + c] = -brow[c] if negate else brow[c]
-    return IntMatrix._raw(
-        len(rows_order) * n, len(cols_order) * n, tuple(tuple(r) for r in data)
-    )
+def _from_pattern(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
+    rows, cols = comb(k, p - 1) * n, comb(k, p) * n
+    plus = [[b.row(r) for r in range(n)] for b in bs]
+    minus = [[tuple(-x for x in row) for row in block] for block in plus]
+    data = [[0] * cols for _ in range(rows)]
+    for row, col, i, sign in boundary_pattern(p, k):
+        block = plus[i - 1] if sign > 0 else minus[i - 1]
+        c = col * n
+        for r in range(n):
+            data[row * n + r][c:c + n] = block[r]
+    return IntMatrix._raw(rows, cols, tuple(map(tuple, data)))
 
 
 def _recursive_from_blocks(
     bs: Sequence[IntMatrix], n: int, j: int, p: int,
-    cache: dict[tuple[int, int], IntMatrix] | None = None,
+    cache: dict[tuple[int, int], IntMatrix],
 ) -> IntMatrix:
-    # Subtrees repeat across degrees; one build shares a (j, p) cache.
-    if cache is not None:
-        hit = cache.get((j, p))
-        if hit is not None:
-            return hit
+    # Subtrees repeat within a degree (d[j-2, p-1] sits under both
+    # halves) and across degrees; the cache shares them.
+    hit = cache.get((j, p))
+    if hit is not None:
+        return hit
     if j == 1:
         return bs[0]  # p == 1 is forced here
     if p >= 2:
@@ -151,28 +152,29 @@ def _recursive_from_blocks(
     signed = bs[j - 1] if p % 2 == 1 else -bs[j - 1]
     diagonal = IntMatrix.block_diagonal([signed] * copies)
     zero = IntMatrix.zeros(top.rows, bottom_right.cols)
-    result = IntMatrix.block([[top, zero], [diagonal, bottom_right]])
-    if cache is not None:
-        cache[(j, p)] = result
+    cache[(j, p)] = result = IntMatrix.block([[top, zero], [diagonal, bottom_right]])
     return result
 
 
 def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
-    """Boundary of degree ``p`` by explicit coordinate deletion.
+    """Boundary of degree ``p``, filled in from the signed-deletion pattern.
 
     Rows follow the canonical order of degree ``p - 1``, columns of
     degree ``p``; the caller is responsible for validating the spec.
     """
     if not 1 <= p <= spec.rank:
         raise ValueError(f"degree {p} out of range 1..{spec.rank}")
-    return _direct_from_blocks(coadjacencies(spec), spec.num_vertices, spec.rank, p)
+    return _from_pattern(coadjacencies(spec), spec.num_vertices, spec.rank, p)
 
 
-def build_differential_recursive(spec: KGraphSpec, p: int) -> IntMatrix:
-    """Boundary of degree ``p`` by the block recursion on the top coordinate."""
-    if not 1 <= p <= spec.rank:
-        raise ValueError(f"degree {p} out of range 1..{spec.rank}")
-    return _recursive_from_blocks(coadjacencies(spec), spec.num_vertices, spec.rank, p)
+def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
+    """The boundaries ``d_1..d_k`` by the block recursion on the top
+    coordinate, with one ``(j, p)`` cache shared by every degree."""
+    bs, cache = coadjacencies(spec), {}
+    return tuple(
+        _recursive_from_blocks(bs, spec.num_vertices, spec.rank, p, cache)
+        for p in range(1, spec.rank + 1)
+    )
 
 
 def basis_labels_for(spec: KGraphSpec) -> BasisLabels:
@@ -187,34 +189,25 @@ def build_complex(spec: KGraphSpec) -> ChainComplex:
 
     The spec is validated first (commuting matrices are a hard
     requirement: without them the boundaries do not square to zero), the
-    boundaries come from the block recursion, and ``d o d = 0`` is checked
-    eagerly so that any convention bug fails loudly at build time.
+    boundaries are filled in from the signed-deletion pattern, and
+    ``d o d = 0`` is checked eagerly so that any convention bug fails
+    loudly at build time.  The complex carries the ``B_i`` it was built
+    from.
     """
     require_valid(spec)
     k, n = spec.rank, spec.num_vertices
     bs = coadjacencies(spec)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
-    cache: dict[tuple[int, int], IntMatrix] = {}
-    boundaries = tuple(_recursive_from_blocks(bs, n, k, p, cache) for p in range(1, k + 1))
-    cc = ChainComplex(k, ranks, boundaries, basis_labels_for(spec))
+    boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
+    cc = ChainComplex(k, ranks, boundaries, basis_labels_for(spec), bs)
     witness = differential_product_witness(cc)
     if witness is not None:
         raise ChainComplexError(*witness)
     return cc
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """The complex ``0 -> Z -(entry)-> Z -> 0`` concentrated in degrees 1, 0."""
-
-    entry: int
-
-    def as_chain_complex(self) -> ChainComplex:
-        return ChainComplex(1, (1, 1), (IntMatrix(1, 1, [[self.entry]]),))
-
-
-def tensor_two(a: ChainComplex, c: TwoTermComplex) -> ChainComplex:
-    """Tensor a complex with a two-term complex.
+def tensor_two(a: ChainComplex, entry: int) -> ChainComplex:
+    """Tensor a complex with the two-term complex ``0 -> Z -(entry)-> Z -> 0``.
 
     Degree ``p`` of the result is ``A_p (x) C_0  (+)  A_{p-1} (x) C_1``, in
     that order, so the boundary is the block matrix
@@ -231,7 +224,7 @@ def tensor_two(a: ChainComplex, c: TwoTermComplex) -> ChainComplex:
     boundaries = []
     for p in range(1, k + 1):
         sign = 1 if (p - 1) % 2 == 0 else -1
-        koszul = IntMatrix.identity(a.rank(p - 1)).scaled(sign * c.entry)
+        koszul = IntMatrix.identity(a.rank(p - 1)).scaled(sign * entry)
         grid = [
             [a.boundary(p), koszul],
             [IntMatrix.zeros(a.rank(p - 2), a.rank(p)), a.boundary(p - 1)],
@@ -245,7 +238,7 @@ def tensor_monoid_complex(b_values: Sequence[int]) -> ChainComplex:
     given scalars, one per coordinate."""
     if not b_values:
         raise ValueError("at least one scalar is required")
-    cc = TwoTermComplex(b_values[0]).as_chain_complex()
+    cc = ChainComplex(1, (1, 1), (IntMatrix(1, 1, [[b_values[0]]]),))
     for b in b_values[1:]:
-        cc = tensor_two(cc, TwoTermComplex(b))
+        cc = tensor_two(cc, b)
     return cc

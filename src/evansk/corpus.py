@@ -115,6 +115,11 @@ def random_polynomial_documents(
     gives -1; the first polynomial is then ``x``, making the first
     co-adjacency matrix unimodular.
     """
+    if count < 0 or max_vertices < 1 or max_rank < 1:
+        raise CorpusError(
+            "need count >= 0, max-vertices >= 1 and max-rank >= 1, got "
+            f"{count}, {max_vertices} and {max_rank}"
+        )
     rng = random.Random(seed)
     prefix = "poly-uni" if unimodular_base else "poly"
     docs = []

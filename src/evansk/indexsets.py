@@ -17,10 +17,10 @@ literal statement about matrix layout:
 >>> enumerate_tuples(3, 2).tuples
 ()
 
-The plus/minus partition splits an index set by whether the last entry is
-``k``; deleting a coordinate, dropping the last entry of a plus tuple
-(``psi``), and reinterpreting a rank ``k - 1`` tuple at rank ``k``
-(``phi``) are the only maps the block construction needs.
+The degree-``p`` boundary deletes each coordinate of each tuple in turn,
+with alternating signs; :func:`boundary_pattern` lists those signed
+deletions once per ``(p, k)``, and every boundary matrix and symbolic
+table is read from it.
 """
 
 from __future__ import annotations
@@ -91,38 +91,26 @@ def delete_coordinate(a: IndexTuple, i: int) -> IndexTuple:
     return a[: i - 1] + a[i:]
 
 
-def partition_plus_minus(p: int, k: int) -> tuple[list[IndexTuple], list[IndexTuple]]:
-    """Split the canonical order into (tuples ending in ``k``, the rest).
+@lru_cache(maxsize=None)
+def boundary_pattern(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The signed deletions that make up the degree-``p`` boundary.
 
-    The concatenation of the two parts reproduces the canonical order;
-    under it, the plus block is exactly the leading block.
+    One ``(row, col, coordinate, sign)`` entry per nonzero block: column
+    tuple ``a`` (slot ``col`` of degree ``p``) loses its ``i``-th entry,
+    landing in slot ``row`` of degree ``p - 1``, through
+    ``sign * B_coordinate`` with ``coordinate = a[i - 1]`` and
+    ``sign = (-1)^(i+1)``.  Columns come in canonical order, deletions
+    in order of ``i``.
+
+    >>> boundary_pattern(2, 2)
+    ((0, 0, 1, 1), (1, 0, 2, -1))
     """
-    order = enumerate_tuples(p, k)
-    plus = [a for a in order.tuples if a and a[-1] == k]
-    minus = [a for a in order.tuples if not a or a[-1] != k]
-    return plus, minus
-
-
-def psi(a: IndexTuple, k: int) -> IndexTuple:
-    """Drop the trailing ``k`` of a plus tuple.
-
-    Bijects the degree-``p`` plus block onto the degree-``p-1`` minus
-    block, preserving canonical order on both sides.
-    """
-    if not a or a[-1] != k:
-        raise ValueError(f"psi requires a tuple ending in {k}, got {a!r}")
-    return a[:-1]
-
-
-def phi(a: IndexTuple, k: int) -> IndexTuple:
-    """Reinterpret a rank ``k - 1`` tuple inside rank ``k``.
-
-    The entries are unchanged; the image is exactly the minus block of
-    rank ``k``, again in canonical order.
-    """
-    if any(x >= k for x in a):
-        raise ValueError(f"phi requires entries below {k}, got {a!r}")
-    return a
+    rows = enumerate_tuples(p - 1, k).position
+    return tuple(
+        (rows[delete_coordinate(a, i)], col, a[i - 1], 1 if i % 2 else -1)
+        for col, a in enumerate(enumerate_tuples(p, k).tuples)
+        for i in range(1, p + 1)
+    )
 
 
 def format_index_tuple(a: IndexTuple) -> str:

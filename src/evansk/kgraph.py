@@ -181,15 +181,8 @@ def coadjacency(spec: KGraphSpec, i: int) -> IntMatrix:
     return IntMatrix.identity(n) - spec.adjacency[i - 1].transpose()
 
 
-def coadjacencies(spec: KGraphSpec) -> list[IntMatrix]:
-    return [coadjacency(spec, i) for i in range(1, spec.rank + 1)]
-
-
-def coordinate_restriction(spec: KGraphSpec, j: int) -> KGraphSpec:
-    """Restrict to the first ``j`` coordinates (same vertices)."""
-    if not 1 <= j <= spec.rank:
-        raise ValueError(f"subrank {j} out of range 1..{spec.rank}")
-    return KGraphSpec(rank=j, vertices=spec.vertices, adjacency=spec.adjacency[:j])
+def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
+    return tuple(coadjacency(spec, i) for i in range(1, spec.rank + 1))
 
 
 def permute_coordinates(spec: KGraphSpec, sigma: Sequence[int]) -> KGraphSpec:

@@ -16,21 +16,15 @@ from __future__ import annotations
 
 from math import comb
 
-from .indexsets import delete_coordinate, enumerate_tuples, format_index_tuple
-from .intmat import IntMatrix
-from .kgraph import KGraphSpec, coadjacencies
+from .complexes import ChainComplex
+from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
 
 
 def symbolic_blocks(p: int, k: int) -> list[list[str]]:
     """The sign/index pattern of the degree-``p`` boundary as strings."""
-    rows_order = enumerate_tuples(p - 1, k)
-    cols_order = enumerate_tuples(p, k)
-    grid = [["0"] * len(cols_order) for _ in range(len(rows_order))]
-    for cj, a in enumerate(cols_order.tuples):
-        for i in range(1, p + 1):
-            ri = rows_order.position[delete_coordinate(a, i)]
-            sign = "" if i % 2 == 1 else "-"
-            grid[ri][cj] = f"{sign}B{a[i - 1]}"
+    grid = [["0"] * comb(k, p) for _ in range(comb(k, p - 1))]
+    for row, col, i, sign in boundary_pattern(p, k):
+        grid[row][col] = f"B{i}" if sign > 0 else f"-B{i}"
     return grid
 
 
@@ -82,35 +76,26 @@ def render_symbolic_differential(p: int, k: int) -> str:
     return _render_grid(row_labels, col_labels, symbolic_blocks(p, k), row_split, col_split)
 
 
-def render_numeric_differential(matrix: IntMatrix, p: int, k: int,
-                                vertices: tuple[str, ...]) -> str:
-    n = len(vertices)
-    row_labels = [
-        f"{format_index_tuple(a)}:{v}"
-        for a in enumerate_tuples(p - 1, k).tuples
-        for v in vertices
-    ]
-    col_labels = [
-        f"{format_index_tuple(a)}:{v}"
-        for a in enumerate_tuples(p, k).tuples
-        for v in vertices
-    ]
-    entries = [[str(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
-    row_split, col_split = _partition_splits(p, k)
+def render_numeric_differential(cc: ChainComplex, p: int) -> str:
+    """Integer table of one boundary, labeled by the complex's basis."""
+    matrix = cc.boundary(p)
+    n = cc.ranks[0]  # degree 0 holds one coordinate per vertex
+    entries = [[str(x) for x in matrix.row(i)] for i in range(matrix.rows)]
+    row_split, col_split = _partition_splits(p, cc.length)
     return _render_grid(
-        row_labels, col_labels, entries,
+        cc.labels(p - 1), cc.labels(p), entries,
         row_split * n if row_split is not None else None,
         col_split * n if col_split is not None else None,
     )
 
 
-def b_legend(spec: KGraphSpec) -> str:
-    values = [b[0, 0] for b in coadjacencies(spec)]
+def b_legend(cc: ChainComplex) -> str:
+    values = [b[0, 0] for b in cc.coadjacencies]
     return "where " + ", ".join(f"B{i} = {v}" for i, v in enumerate(values, start=1))
 
 
-def render_differential(spec: KGraphSpec, matrix: IntMatrix, p: int) -> str:
-    """Symbolic table plus legend for one-vertex specs, numeric otherwise."""
-    if spec.is_monoid:
-        return render_symbolic_differential(p, spec.rank) + "\n" + b_legend(spec)
-    return render_numeric_differential(matrix, p, spec.rank, spec.vertices)
+def render_differential(cc: ChainComplex, p: int) -> str:
+    """Symbolic table plus legend for one-vertex complexes, numeric otherwise."""
+    if cc.ranks[0] == 1:  # one vertex
+        return render_symbolic_differential(p, cc.length) + "\n" + b_legend(cc)
+    return render_numeric_differential(cc, p)

@@ -33,9 +33,9 @@ from enum import Enum
 from math import comb, gcd
 from collections.abc import Sequence
 
-from .complexes import build_complex
+from .complexes import ChainComplex, build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
-from .kgraph import KGraphSpec, coadjacencies, monoid_spec
+from .kgraph import KGraphSpec
 
 
 @dataclass(frozen=True)
@@ -115,38 +115,6 @@ def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
             for p in range(k + 1)]
 
 
-@dataclass(frozen=True)
-class KunnethReport:
-    """Comparison of the pipeline homology of a one-vertex complex against
-    the gcd closed form, degree by degree."""
-
-    b_values: tuple[int, ...]
-    g: int
-    computed: tuple[AbelianGroup, ...]
-    expected: tuple[AbelianGroup, ...]
-
-    @property
-    def mismatches(self) -> list[tuple[int, AbelianGroup, AbelianGroup]]:
-        return [
-            (p, got, want)
-            for p, (got, want) in enumerate(zip(self.computed, self.expected))
-            if got != want
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def kunneth_check(b_values: Sequence[int]) -> KunnethReport:
-    """Run both routes for a one-vertex graph with the given co-adjacency
-    scalars (so loop counts ``m_i = 1 - B_i``) and report any mismatch."""
-    spec = monoid_spec([1 - b for b in b_values])
-    computed = tuple(homology(build_complex(spec), check=False))
-    expected = tuple(monoid_closed_form(b_values))
-    return KunnethReport(tuple(b_values), monoid_gcd(b_values), computed, expected)
-
-
 def _ses_middle_candidates(g: int) -> str:
     """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0."""
     names = (
@@ -163,15 +131,18 @@ def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
     ``build_complex`` validates the spec first, so an invalid spec raises
     :class:`~evansk.kgraph.SpecValidationError` before any other work.
     """
-    return verdict_from_homology(spec, homology(build_complex(spec), check=False))
+    cc = build_complex(spec)
+    return verdict_from_homology(spec, cc, homology(cc, check=False))
 
 
-def verdict_from_homology(spec: KGraphSpec, hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
-    """Apply the first matching rule to a valid spec and its homology
-    ``hs`` in degrees ``0..k``; nothing is rebuilt or revalidated."""
+def verdict_from_homology(spec: KGraphSpec, cc: ChainComplex,
+                          hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
+    """Apply the first matching rule to a valid spec, its complex ``cc``
+    (for the co-adjacency matrices it carries) and its homology ``hs`` in
+    degrees ``0..k``; nothing is rebuilt or revalidated."""
     k = spec.rank
     page = e2_page(hs, k)
-    bs = coadjacencies(spec)
+    bs = cc.coadjacencies
 
     for i, b in enumerate(bs, start=1):
         det = b.det()

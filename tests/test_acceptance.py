@@ -2,7 +2,8 @@
 
 The exhaustive single-vertex corpus (loop counts 1..9 in every coordinate,
 ranks 1..5: 66429 specs) is swept once by a module-scoped fixture that
-builds every complex by both constructions, checks the boundary shapes,
+builds every complex from the signed-deletion pattern, compares each
+boundary with the paper's block recursion, checks the boundary shapes,
 and computes homology along both the block and tensor routes; criteria
 then assert over the collected results.  All comparisons are exact.
 
@@ -25,6 +26,7 @@ from evansk import (
     VerdictKind,
     build_complex,
     build_differential_direct,
+    build_differential_recursive,
     coadjacencies,
     differential_product_witness,
     homology,
@@ -58,7 +60,8 @@ def announce(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")
 
 
-def edge_shapes_ok(cc, bs) -> bool:
+def edge_shapes_ok(cc) -> bool:
+    bs = cc.coadjacencies
     k = len(bs)
     d1_expected = IntMatrix.block([[bs[i] for i in reversed(range(k))]])
     dk_expected = IntMatrix.block([[bs[i] if i % 2 == 0 else -bs[i]] for i in range(k)])
@@ -68,7 +71,7 @@ def edge_shapes_ok(cc, bs) -> bool:
 @pytest.fixture(scope="module")
 def monoid_sweep():
     t0 = time.perf_counter()
-    direct_mismatches = []
+    recursive_mismatches = []
     shape_failures = []
     tensor_failures = []
     closed_failures = []
@@ -79,10 +82,10 @@ def monoid_sweep():
             spec = monoid_spec(ms)
             cc = build_complex(spec)  # validates and checks d o d = 0
             built += 1
-            for p in range(1, k + 1):
-                if build_differential_direct(spec, p) != cc.boundary(p):
-                    direct_mismatches.append((ms, p))
-            if not edge_shapes_ok(cc, coadjacencies(spec)):
+            for p, d in enumerate(build_differential_recursive(spec), start=1):
+                if d != cc.boundary(p):
+                    recursive_mismatches.append((ms, p))
+            if not edge_shapes_ok(cc):
                 shape_failures.append(ms)
             hs = tuple(homology(cc, check=False))
             tensor = tensor_monoid_complex([1 - m for m in ms])
@@ -98,7 +101,7 @@ def monoid_sweep():
     return {
         "built": built,
         "nontrivial": nontrivial,
-        "direct_mismatches": direct_mismatches,
+        "recursive_mismatches": recursive_mismatches,
         "shape_failures": shape_failures,
         "tensor_failures": tensor_failures,
         "closed_failures": closed_failures,
@@ -110,21 +113,21 @@ def monoid_sweep():
 def poly_sweep():
     t0 = time.perf_counter()
     docs = random_polynomial_documents(POLY_COUNT, seed=POLY_SEED)
-    direct_mismatches = []
+    recursive_mismatches = []
     shape_failures = []
     built = 0
     for doc in docs:
         spec = doc.spec
         cc = build_complex(spec)
         built += 1
-        for p in range(1, spec.rank + 1):
-            if build_differential_direct(spec, p) != cc.boundary(p):
-                direct_mismatches.append((doc.name, p))
-        if not edge_shapes_ok(cc, coadjacencies(spec)):
+        for p, d in enumerate(build_differential_recursive(spec), start=1):
+            if d != cc.boundary(p):
+                recursive_mismatches.append((doc.name, p))
+        if not edge_shapes_ok(cc):
             shape_failures.append(doc.name)
     return {
         "built": built,
-        "direct_mismatches": direct_mismatches,
+        "recursive_mismatches": recursive_mismatches,
         "shape_failures": shape_failures,
         "elapsed": time.perf_counter() - t0,
     }
@@ -133,8 +136,8 @@ def poly_sweep():
 def test_criterion_01_differential_equivalence(monoid_sweep, poly_sweep):
     assert monoid_sweep["built"] == MONOID_TOTAL
     assert poly_sweep["built"] == POLY_COUNT
-    assert monoid_sweep["direct_mismatches"] == []
-    assert poly_sweep["direct_mismatches"] == []
+    assert monoid_sweep["recursive_mismatches"] == []
+    assert poly_sweep["recursive_mismatches"] == []
     announce(1, f"direct == recursive on {MONOID_TOTAL} monoid + {POLY_COUNT} "
                 f"polynomial-family specs, every degree "
                 f"(corpus sweep {monoid_sweep['elapsed']:.1f}s, "

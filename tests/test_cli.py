@@ -12,7 +12,7 @@ from evansk.complexes import build_complex
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import homology
-from evansk.kgraph import SpecValidationError, spec_from_matrices, validate
+from evansk.kgraph import SpecValidationError, coadjacencies, spec_from_matrices, validate
 from evansk.spectral import e2_page, k_theory_verdict
 
 NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
@@ -173,6 +173,20 @@ def test_gen_polynomial_family_deterministic(capsys):
     assert len(docs) == 5
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-vertices", "0"),
+    ("--max-rank", "0"),
+    ("--count", "-3"),
+])
+def test_gen_polynomial_family_bad_parameters(flag, value, capsys):
+    args = ["gen", "polynomial-family", "--count", "1", "--seed", "1", flag, value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag[2:] in captured.err
+
+
 def test_gen_to_file(tmp_path):
     target = tmp_path / "corpus.json"
     assert main(["gen", "monoid", "--k", "1", "--m-min", "1", "--m-max", "3",
@@ -247,8 +261,22 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
     builds = _count_calls(monkeypatch, build_complex)
+    coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
     assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
     assert (len(validations), len(builds)) == (1, 1)
+    assert len(coadjacency_builds) == (1 if status == 0 else 0)
+
+
+@pytest.mark.parametrize("spec", [
+    monoid_document([3, 5, 7]).spec,
+    monoid_document([1, 1]).spec,
+    spec_from_matrices([[[1, 1], [1, 0]], [[2, 1], [1, 1]]]),
+    *(doc.spec for doc in random_polynomial_documents(3, seed=5)),
+])
+def test_library_verdict_builds_coadjacencies_once(spec, monkeypatch):
+    coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
+    k_theory_verdict(spec)
+    assert len(coadjacency_builds) == 1
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):

@@ -9,10 +9,10 @@ from evansk import (
     ChainComplexError,
     IntMatrix,
     SpecValidationError,
-    TwoTermComplex,
     build_complex,
     build_differential_direct,
     build_differential_recursive,
+    coadjacencies,
     differential_product_witness,
     enumerate_tuples,
     homology,
@@ -69,7 +69,7 @@ def test_rank1_base_case():
     spec = spec_from_matrices([[[0, 1], [1, 0]]])
     expected = [[1, -1], [-1, 1]]
     assert build_differential_direct(spec, 1).to_lists() == expected
-    assert build_differential_recursive(spec, 1).to_lists() == expected
+    assert [d.to_lists() for d in build_differential_recursive(spec)] == [expected]
 
 
 def test_degree_out_of_range():
@@ -77,23 +77,21 @@ def test_degree_out_of_range():
     for p in (0, 3):
         with pytest.raises(ValueError):
             build_differential_direct(spec, p)
-        with pytest.raises(ValueError):
-            build_differential_recursive(spec, p)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_direct_equals_recursive_on_monoids(k):
     for ms in itertools.product((1, 2, 4, 7), repeat=k):
         spec = monoid_spec(ms)
-        for p in range(1, k + 1):
-            assert build_differential_direct(spec, p) == build_differential_recursive(spec, p)
+        direct = tuple(build_differential_direct(spec, p) for p in range(1, k + 1))
+        assert direct == build_differential_recursive(spec)
 
 
 def test_direct_equals_recursive_multivertex():
     a = [[1, 1], [1, 0]]
     spec = spec_from_matrices([a, [[2, 1], [1, 1]], [[3, 2], [2, 1]]])  # A, A^2, A^2 + A
-    for p in (1, 2, 3):
-        assert build_differential_direct(spec, p) == build_differential_recursive(spec, p)
+    direct = tuple(build_differential_direct(spec, p) for p in (1, 2, 3))
+    assert direct == build_differential_recursive(spec)
 
 
 def test_build_complex_monoid():
@@ -107,9 +105,33 @@ def test_build_complex_monoid():
 def test_build_complex_labels():
     cc = build_complex(monoid_spec([3, 5]))
     assert cc.basis_labels[1] == (((2,), "v"), ((1,), "v"))
+    assert cc.labels(1) == ["(2):v", "(1):v"]
     multi = build_complex(spec_from_matrices([[[1, 1], [1, 1]]]))
     assert multi.basis_labels[0] == (((), "v0"), ((), "v1"))
+    assert multi.labels(0) == ["*:v0", "*:v1"]
     assert multi.ranks == (2, 2)
+
+
+def test_build_complex_carries_its_coadjacencies():
+    spec = spec_from_matrices([[[1, 1], [1, 0]], [[2, 1], [1, 1]]])
+    assert build_complex(spec).coadjacencies == coadjacencies(spec)
+
+
+def test_build_complex_assembles_without_block_matrices(monkeypatch):
+    calls = []
+    block = IntMatrix.block.__func__
+
+    def counted(cls, grid):
+        calls.append(grid)
+        return block(cls, grid)
+
+    monkeypatch.setattr(IntMatrix, "block", classmethod(counted))
+    for spec in (monoid_spec([2, 3, 4, 5]),
+                 *(doc.spec for doc in random_polynomial_documents(5, seed=7))):
+        build_complex(spec)
+    assert calls == []
+    build_differential_recursive(monoid_spec([2, 3, 4]))
+    assert calls  # the counter sees the recursion, which is built from blocks
 
 
 def test_trivial_monoid_has_zero_boundaries():
@@ -151,13 +173,13 @@ def test_boundary_end_maps():
 
 
 def test_tensor_two_terms():
-    cc = tensor_two(TwoTermComplex(-2).as_chain_complex(), TwoTermComplex(-4))
+    cc = tensor_two(tensor_monoid_complex([-2]), -4)
     assert cc.ranks == (1, 2, 1)
     assert [str(g) for g in homology(cc)] == ["Z2", "Z2", "0"]
 
 
 def test_tensor_zero_maps():
-    cc = tensor_two(TwoTermComplex(0).as_chain_complex(), TwoTermComplex(0))
+    cc = tensor_two(tensor_monoid_complex([0]), 0)
     assert all(b.is_zero() for b in cc.boundaries)
     groups = homology(cc)
     assert [g.free_rank for g in groups] == [1, 2, 1]

@@ -1,16 +1,28 @@
+from collections import Counter, defaultdict
 from math import comb
 
 import pytest
 
 from evansk import (
     BASEPOINT,
+    boundary_pattern,
     delete_coordinate,
     enumerate_tuples,
     format_index_tuple,
-    partition_plus_minus,
-    phi,
-    psi,
 )
+
+
+def plus_minus(p, k):
+    """The canonical order cut after its first ``comb(k-1, p-1)`` tuples:
+    the plus block (tuples ending in ``k``), then the minus block.
+
+    The block recursion rests on two maps: psi drops the trailing ``k`` of
+    a plus tuple, phi reads a rank ``k - 1`` tuple at rank ``k``.  The
+    tests named after them check the order realises both, in order.
+    """
+    tuples = enumerate_tuples(p, k).tuples
+    cut = comb(k - 1, p - 1) if p >= 1 else 0
+    return tuples[:cut], tuples[cut:]
 
 
 def test_order_matches_block_figure_labels():
@@ -54,25 +66,26 @@ def test_sizes_and_positions(k):
 
 
 def test_partition_examples():
-    plus, minus = partition_plus_minus(3, 4)
-    assert plus == [(2, 3, 4), (1, 3, 4), (1, 2, 4)]
-    assert minus == [(1, 2, 3)]
-    assert partition_plus_minus(1, 1) == ([(1,)], [])
-    plus, minus = partition_plus_minus(2, 4)
-    assert plus == [(3, 4), (2, 4), (1, 4)]
-    assert minus == [(2, 3), (1, 3), (1, 2)]
+    plus, minus = plus_minus(3, 4)
+    assert plus == ((2, 3, 4), (1, 3, 4), (1, 2, 4))
+    assert minus == ((1, 2, 3),)
+    assert plus_minus(1, 1) == (((1,),), ())
+    plus, minus = plus_minus(2, 4)
+    assert plus == ((3, 4), (2, 4), (1, 4))
+    assert minus == ((2, 3), (1, 3), (1, 2))
 
 
 def test_degree_zero_partition():
-    assert partition_plus_minus(0, 3) == ([], [BASEPOINT])
+    assert plus_minus(0, 3) == ((), (BASEPOINT,))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_partition_concatenation_is_canonical_order(k):
     for p in range(k + 1):
-        plus, minus = partition_plus_minus(p, k)
-        assert tuple(plus + minus) == enumerate_tuples(p, k).tuples
-        assert len(plus) == (comb(k - 1, p - 1) if p >= 1 else 0)
+        plus, minus = plus_minus(p, k)
+        assert plus + minus == enumerate_tuples(p, k).tuples
+        assert all(a[-1] == k for a in plus)
+        assert all(not a or a[-1] != k for a in minus)
 
 
 def test_delete_coordinate_examples():
@@ -91,60 +104,46 @@ def test_delete_coordinate_out_of_range():
 
 
 def test_psi_examples():
-    assert psi((2, 3, 4), 4) == (2, 3)
-    assert psi((4,), 4) == BASEPOINT
-    assert psi((1, 4), 4) == (1,)
-    _, minus = partition_plus_minus(1, 4)
-    assert psi((1, 4), 4) in minus
-
-
-def test_psi_rejects_tuples_not_ending_in_k():
-    with pytest.raises(ValueError):
-        psi((1, 3), 4)
-    with pytest.raises(ValueError):
-        psi(BASEPOINT, 4)
+    # Dropping the trailing k of a plus tuple lands in the minus block below.
+    plus, _ = plus_minus(3, 4)
+    assert [a[:-1] for a in plus] == [(2, 3), (1, 3), (1, 2)]
+    assert plus_minus(1, 4)[0][0][:-1] == BASEPOINT
+    assert (1, 4)[:-1] in plus_minus(1, 4)[1]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_psi_is_order_preserving_bijection(k):
     for p in range(1, k + 1):
-        plus, _ = partition_plus_minus(p, k)
-        _, minus_below = partition_plus_minus(p - 1, k)
-        assert [psi(a, k) for a in plus] == minus_below
+        plus, _ = plus_minus(p, k)
+        _, minus_below = plus_minus(p - 1, k)
+        assert tuple(a[:-1] for a in plus) == minus_below
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_append_k_inverts_psi(k):
     for p in range(1, k + 1):
-        _, minus_below = partition_plus_minus(p - 1, k)
-        for b in minus_below:
-            assert psi(b + (k,), k) == b
+        plus, _ = plus_minus(p, k)
+        assert tuple(b + (k,) for b in enumerate_tuples(p - 1, k - 1).tuples) == plus
 
 
 def test_phi_examples():
-    assert phi((1, 2, 3), 4) == (1, 2, 3)
-    assert phi(BASEPOINT, 2) == BASEPOINT
-    _, minus = partition_plus_minus(2, 4)
-    assert phi((2, 3), 4) in minus
-
-
-def test_phi_rejects_entries_at_k():
-    with pytest.raises(ValueError):
-        phi((2, 4), 4)
+    assert enumerate_tuples(3, 3).tuples == plus_minus(3, 4)[1]
+    assert enumerate_tuples(0, 1).tuples == plus_minus(0, 2)[1]
+    assert (2, 3) in plus_minus(2, 4)[1]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_phi_image_is_minus_block_in_order(k):
     for p in range(k):
-        _, minus = partition_plus_minus(p, k)
-        assert [phi(a, k) for a in enumerate_tuples(p, k - 1).tuples] == minus
+        _, minus = plus_minus(p, k)
+        assert enumerate_tuples(p, k - 1).tuples == minus
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_minus_block_closed_under_deletion(k):
     for p in range(1, k + 1):
-        _, minus = partition_plus_minus(p, k)
-        _, minus_below = partition_plus_minus(p - 1, k)
+        _, minus = plus_minus(p, k)
+        _, minus_below = plus_minus(p - 1, k)
         for a in minus:
             for i in range(1, p + 1):
                 assert delete_coordinate(a, i) in minus_below
@@ -153,3 +152,19 @@ def test_minus_block_closed_under_deletion(k):
 def test_format_index_tuple():
     assert format_index_tuple(BASEPOINT) == "*"
     assert format_index_tuple((2, 3, 4)) == "(2,3,4)"
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_boundary_pattern_squares_to_zero(k):
+    # Over commuting formal symbols, d_p d_(p+1) cancels term by term:
+    # each (row, col, B_i B_j) coefficient of the product is zero.
+    for p in range(1, k):
+        into = defaultdict(list)
+        for row, mid, i, sign in boundary_pattern(p, k):
+            into[mid].append((row, i, sign))
+        product = Counter()
+        for mid, col, j, sign in boundary_pattern(p + 1, k):
+            for row, i, s in into[mid]:
+                product[row, col, min(i, j), max(i, j)] += s * sign
+        assert product and not any(product.values())
+

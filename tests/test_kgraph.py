@@ -5,7 +5,6 @@ from evansk import (
     KGraphSpec,
     StructuralError,
     coadjacency,
-    coordinate_restriction,
     monoid_spec,
     permute_coordinates,
     spec_from_matrices,
@@ -92,23 +91,6 @@ def test_coadjacency_range():
         coadjacency(monoid_spec([3]), 2)
     with pytest.raises(ValueError):
         coadjacency(monoid_spec([3]), 0)
-
-
-def test_coordinate_restriction():
-    spec = monoid_spec([3, 5, 7])
-    r = coordinate_restriction(spec, 2)
-    assert r.rank == 2
-    assert [m.to_lists() for m in r.adjacency] == [[[3]], [[5]]]
-    assert coordinate_restriction(spec, 3) == spec
-    assert coordinate_restriction(monoid_spec([3, 5, 7]), 1) == monoid_spec([3])
-    with pytest.raises(ValueError):
-        coordinate_restriction(spec, 4)
-
-
-def test_restriction_composes():
-    spec = monoid_spec([2, 3, 4, 5])
-    assert coordinate_restriction(coordinate_restriction(spec, 3), 2) == \
-        coordinate_restriction(spec, 2)
 
 
 def test_permute_coordinates():

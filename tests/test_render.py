@@ -68,13 +68,14 @@ def test_partition_rules_only_in_middle_degrees():
 
 
 def test_legend_lists_numeric_values():
-    assert b_legend(monoid_spec([2, 3, 4, 5])) == "where B1 = -1, B2 = -2, B3 = -3, B4 = -4"
+    cc = build_complex(monoid_spec([2, 3, 4, 5]))
+    assert b_legend(cc) == "where B1 = -1, B2 = -2, B3 = -3, B4 = -4"
 
 
 def test_render_differential_monoid_uses_symbols():
     spec = monoid_spec([2, 3, 4, 5])
     cc = build_complex(spec)
-    text = render_differential(spec, cc.boundary(4), 4)
+    text = render_differential(cc, 4)
     assert RANK4_DEGREE4 in text
     assert "where B1 = -1" in text
 
@@ -82,7 +83,7 @@ def test_render_differential_monoid_uses_symbols():
 def test_render_numeric_for_multivertex():
     spec = spec_from_matrices([[[0, 1], [1, 0]]])
     cc = build_complex(spec)
-    text = render_differential(spec, cc.boundary(1), 1)
+    text = render_differential(cc, 1)
     assert "(1):v0" in text and "(1):v1" in text
     assert "*:v0" in text
     assert "-1" in text
@@ -92,5 +93,5 @@ def test_numeric_partition_positions():
     spec = spec_from_matrices([[[2, 1], [1, 1]], [[3, 1], [1, 2]]])
     assert spec.adjacency[0] @ spec.adjacency[1] == spec.adjacency[1] @ spec.adjacency[0]
     cc = build_complex(spec)
-    text = render_numeric_differential(cc.boundary(1), 1, 2, spec.vertices)
+    text = render_numeric_differential(cc, 1)
     assert "(2):v0" in text and "(1):v1" in text

@@ -11,7 +11,6 @@ from evansk import (
     e2_page,
     homology,
     k_theory_verdict,
-    kunneth_check,
     monoid_closed_form,
     monoid_gcd,
     monoid_spec,
@@ -72,21 +71,6 @@ def test_closed_form_rejects_all_zero():
 def test_closed_form_matches_pipeline_on_mixed_zero():
     spec = monoid_spec([5, 1])  # B = (-4, 0)
     assert homology(build_complex(spec), check=False) == monoid_closed_form([-4, 0])
-
-
-def test_kunneth_check_matches():
-    report = kunneth_check([-2, -4])
-    assert report.ok
-    assert report.g == 2
-    assert report.computed == (Z2, Z2, TRIVIAL_GROUP)
-    assert report.computed == report.expected
-    assert report.mismatches == []
-
-
-def test_kunneth_check_unit_gcd():
-    report = kunneth_check([-1, -4, -6])
-    assert report.ok
-    assert all(g.is_trivial for g in report.computed)
 
 
 def test_verdict_r1_unimodular():
