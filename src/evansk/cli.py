@@ -194,7 +194,7 @@ def _make_command(command: str):
                 )
             else:  # verdict
                 t2 = time.perf_counter()
-                verdict = verdict_from_homology(spec, cc, groups)
+                verdict = verdict_from_homology(cc, groups)
                 timings["verdict"] = time.perf_counter() - t2
                 out["verdict"] = verdict.to_dict()
                 text_lines.append(_verdict_line(verdict))

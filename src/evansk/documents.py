@@ -72,18 +72,23 @@ def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocum
     return GraphDocument(spec=spec, name=name)
 
 
-def loads_document(text: str, *, source: str = "<string>") -> GraphDocument:
+def _parse(text: str | Path, source: str) -> object:
+    """The JSON value of ``text``, or of the UTF-8 file it names; bad bytes, nesting
+    too deep and integers too long raise :class:`DocumentError` like bad syntax."""
     try:
-        obj = json.loads(text)
+        return json.loads(text.read_text(encoding="utf-8") if isinstance(text, Path) else text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return document_from_dict(obj, source=source)
+        raise DocumentError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DocumentError(f"{source}: {exc}") from exc
+
+
+def loads_document(text: str, *, source: str = "<string>") -> GraphDocument:
+    return document_from_dict(_parse(text, source), source=source)
 
 
 def load_document(path: str | Path) -> GraphDocument:
-    return loads_document(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return document_from_dict(_parse(Path(path), str(path)), source=str(path))
 
 
 def dumps_document(doc: GraphDocument) -> str:
@@ -95,12 +100,7 @@ def dumps_documents(docs: list[GraphDocument]) -> str:
 
 
 def loads_documents(text: str, *, source: str = "<string>") -> list[GraphDocument]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    obj = _parse(text, source)
     if not isinstance(obj, list):
         raise DocumentError(f"{source}: expected a JSON array of documents")
     return [document_from_dict(d, source=f"{source}[{i}]") for i, d in enumerate(obj)]

@@ -19,10 +19,9 @@ torsion orders, never with unit factors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .complexes import ChainComplex, ChainComplexError, differential_product_witness
-from .snf import elementary_divisors, rank_from_divisors
+from .snf import elementary_divisors, invariant_factors, rank_from_divisors
 
 
 @dataclass(frozen=True)
@@ -70,21 +69,8 @@ class AbelianGroup:
 
     def direct_sum(self, other: AbelianGroup) -> AbelianGroup:
         """Direct sum, renormalized back to a divisibility chain."""
-        if not other.torsion:
-            return AbelianGroup(self.free_rank + other.free_rank, self.torsion)
-        if not self.torsion:
-            return AbelianGroup(self.free_rank + other.free_rank, other.torsion)
-        # Replacing a pair (a, b) by (gcd, lcm) keeps the group; sweeping
-        # every later slot into slot i leaves slot i dividing all of them.
-        factors = list(self.torsion + other.torsion)
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                g = gcd(a, b)
-                factors[i], factors[j] = g, a // g * b
-        return AbelianGroup(
-            self.free_rank + other.free_rank, tuple(f for f in factors if f > 1)
-        )
+        return AbelianGroup(self.free_rank + other.free_rank,
+                            invariant_factors(self.torsion + other.torsion))
 
     def __str__(self) -> str:
         parts = []

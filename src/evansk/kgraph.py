@@ -98,13 +98,13 @@ class KGraphSpec:
         return len(self.vertices) == 1
 
 
-def monoid_spec(ms: Sequence[int], name_vertex: str = "v") -> KGraphSpec:
+def monoid_spec(ms: Sequence[int]) -> KGraphSpec:
     """Single-vertex spec with ``m_i`` loops of each degree."""
     if not ms:
         raise StructuralError("at least one loop count is required")
     return KGraphSpec(
         rank=len(ms),
-        vertices=(name_vertex,),
+        vertices=("v",),
         adjacency=tuple(IntMatrix(1, 1, [[m]]) for m in ms),
     )
 

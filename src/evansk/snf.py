@@ -1,31 +1,30 @@
-"""Smith normal form over the integers, with transform certificates.
-
-Elimination with pivot selection by minimal nonzero absolute value
-(ties broken by lowest row, then lowest column), entirely in Python ints.
-The result is deterministic for a fixed input: the divisors are
-nonnegative, form a divisibility chain, and trailing zeros mark the
-cokernel's free part.  ``U @ M @ V == S`` holds exactly with unimodular
-``U`` and ``V``.
+"""Smith normal form over the integers: one fast path, one certified engine.
 
 :func:`elementary_divisors` serves the homology pipeline, which only
-needs ranks and divisors.  It first runs an exact unit-pivot elimination
-on row-sparse data: take a +-1 entry in a shortest row that has one
-(in the sparsest column among those rows' units, to keep fill-in low),
-clear its column with integer row operations, drop that row and column,
-and repeat until no unit entry is left.  Each step is a unimodular change
-of basis that splits off a ``[1]`` block (column operations clear the
-rest of the pivot row without touching the other rows), so the divisors
-are ``(1,) * units`` followed by those of the residue, which the dense
-elimination above computes without recording transforms.  The Smith form
-is unique, so the tuple is exactly what :func:`smith_normal_form` gives.
-Evans boundaries are very sparse and full of +-1 entries, so the dense
-residue is a fraction of the input.
+needs ranks and divisors.  One sparse elimination on row-sparse data
+splits the matrix into 1x1 pivot blocks: +-1 pivots first (in a shortest
+row, in its sparsest unit column, to keep fill-in low), then entries of
+least absolute value.  Each split is a unimodular change of basis, so
+the divisors are the units, then the invariant factors of the other
+pivots (:func:`invariant_factors`), then zeros.  Evans boundaries are
+very sparse and full of +-1 entries, so most pivots are units.
+
+:func:`smith_normal_form` is the certified, independent engine: dense
+elimination with pivot selection by minimal nonzero absolute value
+(ties broken by lowest row, then lowest column), recording unimodular
+``U`` and ``V`` with ``U @ M @ V == S`` exactly.  It shares no code with
+the fast path, so the tests compare the two.  Both work entirely in
+Python ints; the divisors are nonnegative, form a divisibility chain,
+and trailing zeros mark the cokernel's free part.  The Smith form is
+unique, so both give the same tuple.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import gcd
 
 from .intmat import IntMatrix
 
@@ -39,7 +38,7 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    s, u, v = _eliminate(m, track=True)
+    s, u, v = _eliminate(m)
     limit = min(m.rows, m.cols)
     divisors = tuple(s[i][i] for i in range(limit))
     return SnfResult(
@@ -51,53 +50,72 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    units, residue, diagonal = 0, m, ()
-    if any(1 in r or -1 in r for r in m._data):  # else there is no pivot to take
-        rows = m._sparse_rows()
-        units = _unit_pivots(rows)
-        residue = _compact([row for row in rows if row])
-    if residue.rows:
-        s, _, _ = _eliminate(residue, track=False)
-        diagonal = tuple(s[i][i] for i in range(min(residue.rows, residue.cols)))
-    # Each pivot took a row and a column, so units + len(diagonal) is at
-    # most min(rows, cols); the residue's zeros trail, and so do the pads.
-    return (1,) * units + diagonal + (0,) * (min(m.rows, m.cols) - units - len(diagonal))
+    units, pivots = _diagonalise(m._sparse_rows())
+    factors = invariant_factors(pivots)
+    # Every pivot took a row and a column; the zeros of the diagonal trail.
+    ones = units + len(pivots) - len(factors)
+    return (1,) * ones + factors + (0,) * (min(m.rows, m.cols) - units - len(pivots))
 
 
-def _unit_pivots(rows: list[dict[int, int]]) -> int:
-    """Eliminate unit pivots from row-sparse ``rows`` in place.
+def invariant_factors(values: Sequence[int]) -> tuple[int, ...]:
+    """The divisibility chain of ``diag(values)`` (positive ints), units left out.
 
-    Each step takes a +-1 entry in a shortest row that has one, in the
-    column with the fewest entries among those rows' units, so that the
-    step adds few new nonzeros (a Markowitz-style choice); clears its
-    column from every other row by an exact integer row operation; and
-    empties the pivot row.  The pivot column is then zero in what is
-    left.  Returns the number of pivots taken.
+    Replacing a pair (a, b) by (gcd, lcm) keeps the group; sweeping every
+    later slot into slot i leaves slot i dividing all of them.
     """
-    unit = {i for i, row in enumerate(rows) if 1 in row.values() or -1 in row.values()}
+    factors = list(values)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(f for f in factors if f > 1)
+
+
+def _diagonalise(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
+    """Split row-sparse ``rows`` into 1x1 pivot blocks, in place.
+
+    A step takes an entry of least absolute value, in a shortest row,
+    in the column with the fewest entries: a Markowitz-style choice that
+    keeps fill-in low.  While a +-1 is left only the rows in ``unit``,
+    which hold one, are searched.  The step clears the pivot's column
+    from every other row by floor-division row operations.  Once the
+    column is clear, it reduces the rest of the pivot row modulo the
+    pivot: column operations that touch no other row.  A pivot left
+    alone in its row and column is split off; a remainder is smaller
+    than the pivot, so the next step picks a strictly smaller one.
+    Returns the number of +-1 pivots and the absolute values of the
+    others.
+    """
+    unit: set[int] = set()
     where: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
-    taken = 0
-    while unit:
-        shortest = min(len(rows[i]) for i in unit)
-        best, fewest = None, 0
-        for i in unit:
+        if 1 in row.values() or -1 in row.values():
+            unit.add(i)
+    units, pivots = 0, []
+    while True:
+        best = None
+        for i in unit or range(len(rows)):
             row = rows[i]
-            if len(row) == shortest:
-                for c, x in row.items():
-                    if (x == 1 or x == -1) and (best is None or len(where[c]) < fewest):
-                        best, fewest = (i, c), len(where[c])
+            n = len(row)
+            if best is not None and least == 1 and n > length:
+                continue  # no entry of a longer row beats a unit
+            for c, x in row.items():
+                if x < 0:
+                    x = -x
+                if best is None or x < least or x == least and (
+                        n < length or n == length and len(where[c]) < fewest):
+                    best, least, length, fewest = (i, c), x, n, len(where[c])
+        if best is None:
+            return units, pivots
         pi, col = best
-        pivot, rows[pi] = rows[pi], {}
-        unit.discard(pi)
-        for c in pivot:
-            where[c].discard(pi)
-        sign = pivot[col]
-        for i in where.pop(col):
+        pivot = rows[pi]
+        p = pivot[col]
+        for i in where[col] - {pi}:
             row = rows[i]
-            q = row[col] * sign
+            q = row[col] // p
             for c, y in pivot.items():
                 v = row.get(c, 0) - q * y
                 if v:
@@ -106,39 +124,40 @@ def _unit_pivots(rows: list[dict[int, int]]) -> int:
                     row[c] = v
                 else:
                     del row[c]
-                    if c != col:
-                        where[c].discard(i)
+                    where[c].discard(i)
             values = row.values()
             if 1 in values or -1 in values:
                 unit.add(i)
             else:
                 unit.discard(i)
-        taken += 1
-    return taken
-
-
-def _compact(rows: list[dict[int, int]]) -> IntMatrix:
-    """Dense matrix of the nonzero ``rows`` over the columns they use."""
-    cols = sorted(set().union(*rows))
-    where = {c: j for j, c in enumerate(cols)}
-    data = []
-    for row in rows:
-        line = [0] * len(cols)
-        for c, x in row.items():
-            line[where[c]] = x
-        data.append(tuple(line))
-    return IntMatrix._raw(len(rows), len(cols), tuple(data))
+        if len(where[col]) > 1:
+            continue  # remainders are smaller than the pivot; reselect
+        rows[pi] = rest = {c: r for c, x in pivot.items() if (r := x % p)}
+        for c in pivot:
+            if c not in rest:
+                where[c].discard(pi)
+        if rest:  # the pivot stays, and a smaller entry is picked next
+            rest[col] = p
+            where[col].add(pi)
+            if 1 in rest.values() or -1 in rest.values():
+                unit.add(pi)
+            continue
+        unit.discard(pi)
+        if p == 1 or p == -1:
+            units += 1
+        else:
+            pivots.append(abs(p))
 
 
 def rank_from_divisors(divisors: tuple[int, ...]) -> int:
     return sum(1 for d in divisors if d != 0)
 
 
-def _eliminate(m: IntMatrix, track: bool):
+def _eliminate(m: IntMatrix):
     rows, cols = m.rows, m.cols
     a = [list(m.row(i)) for i in range(rows)]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if track else None
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track else None
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     limit = min(rows, cols)
     t = 0
@@ -149,18 +168,15 @@ def _eliminate(m: IntMatrix, track: bool):
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            if track:
-                u[t], u[pi] = u[pi], u[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            if track:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if track:
-                u[t] = [-x for x in u[t]]
+            u[t] = [-x for x in u[t]]
 
         piv = a[t][t]
         dirty = False
@@ -172,10 +188,9 @@ def _eliminate(m: IntMatrix, track: bool):
                     ai, at = a[i], a[t]
                     for j in range(t, cols):
                         ai[j] -= q * at[j]
-                    if track:
-                        ui, ut = u[i], u[t]
-                        for j in range(rows):
-                            ui[j] -= q * ut[j]
+                    ui, ut = u[i], u[t]
+                    for j in range(rows):
+                        ui[j] -= q * ut[j]
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -185,9 +200,8 @@ def _eliminate(m: IntMatrix, track: bool):
                 if q:
                     for i in range(t, rows):
                         a[i][j] -= q * a[i][t]
-                    if track:
-                        for i in range(cols):
-                            v[i][j] -= q * v[i][t]
+                    for i in range(cols):
+                        v[i][j] -= q * v[i][t]
                 if a[t][j]:
                     dirty = True
         if dirty:
@@ -208,10 +222,9 @@ def _eliminate(m: IntMatrix, track: bool):
             af, at = a[fix], a[t]
             for j in range(t, cols):
                 at[j] += af[j]
-            if track:
-                uf, ut = u[fix], u[t]
-                for j in range(rows):
-                    ut[j] += uf[j]
+            uf, ut = u[fix], u[t]
+            for j in range(rows):
+                ut[j] += uf[j]
             continue
         t += 1
     return a, u, v

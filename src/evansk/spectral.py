@@ -132,15 +132,15 @@ def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
     :class:`~evansk.kgraph.SpecValidationError` before any other work.
     """
     cc = build_complex(spec)
-    return verdict_from_homology(spec, cc, homology(cc, check=False))
+    return verdict_from_homology(cc, homology(cc, check=False))
 
 
-def verdict_from_homology(spec: KGraphSpec, cc: ChainComplex,
-                          hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
-    """Apply the first matching rule to a valid spec, its complex ``cc``
-    (for the co-adjacency matrices it carries) and its homology ``hs`` in
+def verdict_from_homology(cc: ChainComplex, hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
+    """Apply the first matching rule to the Evans complex ``cc`` of a valid
+    spec (its length is the rank, its degree-0 rank the vertex count, and
+    it carries the co-adjacency matrices) and its homology ``hs`` in
     degrees ``0..k``; nothing is rebuilt or revalidated."""
-    k = spec.rank
+    k = cc.length
     page = e2_page(hs, k)
     bs = cc.coadjacencies
 
@@ -156,7 +156,7 @@ def verdict_from_homology(spec: KGraphSpec, cc: ChainComplex,
                 ),
             )
 
-    if spec.is_monoid:
+    if cc.ranks[0] == 1:  # one vertex
         scalars = [b[0, 0] for b in bs]
         if all(s == 0 for s in scalars):
             size = 2 ** (k - 1)

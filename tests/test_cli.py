@@ -49,11 +49,19 @@ def test_validate_failure_lists_witness(invalid_file, capsys):
     assert "do not commute" in out
 
 
-def test_parse_error_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content, fragment", [
+    (b'{"k": ', "line 1"),
+    (b'{"k": 1, "vertices": ["\xff"]}', "utf-8"),
+    (b"[" * 200_000, "recursion"),
+    (b'{"k": ' + b"9" * 5_000 + b"}", "digits"),
+], ids=["syntax", "not-utf8", "deep-nesting", "long-integer"])
+def test_parse_error_exits_2(content, fragment, tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text('{"k": ', encoding="utf-8")
+    path.write_bytes(content)
     assert main(["validate", str(path)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -35,6 +35,14 @@ def test_name_is_optional():
     assert doc.spec == monoid_spec([2])
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, "[" + "7" * 5_000 + "]"],
+                         ids=["deep-nesting", "long-integer"])
+def test_malformed_text_is_a_document_error(text):
+    for loads in (loads_document, loads_documents):
+        with pytest.raises(DocumentError, match="^bad.json: "):
+            loads(text, source="bad.json")
+
+
 def test_json_syntax_error_has_position():
     with pytest.raises(DocumentError) as info:
         loads_document('{"k": 1,\n  "vertices": [}', source="bad.json")

@@ -3,7 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evansk import IntMatrix, elementary_divisors, rank_from_divisors, smith_normal_form
+from evansk import (
+    IntMatrix,
+    build_complex,
+    elementary_divisors,
+    monoid_spec,
+    rank_from_divisors,
+    smith_normal_form,
+    snf,
+    spec_from_matrices,
+)
 
 from oracles import minor_gcd_divisors
 
@@ -111,11 +120,49 @@ def test_entry_growth_is_handled_exactly():
     res = smith_normal_form(m)
     assert_certified(m, res)
     assert res.divisors[0] == 2  # gcd of all entries
+    assert elementary_divisors(m) == res.divisors
+
+
+def _circulant_boundary():
+    # M_i = q_i(P) for the 6-cycle P, each q_i a sum of three powers of P as
+    # in the benchmark's cyclic workload: no B_i is unimodular, and d_2 mixes
+    # units with the 2-torsion that q_i(1) = 3 forces.
+    def q(*powers):
+        return [[sum((c - r) % 6 == e for e in powers) for c in range(6)] for r in range(6)]
+
+    spec = spec_from_matrices([q(0, 1, 1), q(0, 2, 3), q(1, 1, 4)])
+    return build_complex(spec).boundary(2)
+
+
+def test_divisors_do_not_use_the_certified_engine(monkeypatch):
+    cases = [
+        build_complex(monoid_spec([3, 5, 7])).boundary(2),  # B = (-2, -4, -6): no unit entry
+        IntMatrix.from_rows([[1, 2, 0, 3], [0, 4, 6, 1], [2, 0, 8, 0], [6, 4, 2, 10]]),
+        _circulant_boundary(),
+    ]
+    expected = [smith_normal_form(m).divisors for m in cases]
+    assert any(d > 1 for d in expected[0]) and 1 not in expected[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elementary_divisors must not call the certified engine")
+
+    monkeypatch.setattr(snf, "_eliminate", refuse)
+    monkeypatch.setattr(snf, "smith_normal_form", refuse)
+    assert [elementary_divisors(m) for m in cases] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), max_size=5))
+def test_invariant_factors_match_minor_oracle(values):
+    n = len(values)
+    diag = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    chain = minor_gcd_divisors(diag)
+    assert snf.invariant_factors(values) == tuple(d for d in chain if d > 1)
 
 
 # Entries mix units, zeros, small non-units and values past 2**64, so the
-# unit-pivot pre-pass of elementary_divisors meets fill-in, rows and
-# columns that vanish, and residues that need the dense elimination.
+# sparse elimination of elementary_divisors meets fill-in, rows and columns
+# that vanish, and non-unit pivots that leave remainders.
 ENTRIES = st.one_of(
     st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6]),
     st.integers(-(2 ** 70), 2 ** 70),
