@@ -30,7 +30,6 @@ from .documents import (
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
 from .indexsets import (
     BASEPOINT,
-    CanonicalOrder,
     IndexTuple,
     boundary_pattern,
     delete_coordinate,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "BASEPOINT",
-    "CanonicalOrder",
     "ChainComplex",
     "ChainComplexError",
     "DocumentError",

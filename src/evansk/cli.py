@@ -13,14 +13,16 @@ Subcommands::
 ``--format text|json`` selects the output form; ``--out PATH`` redirects
 it to a file.  The JSON report has the same schema for every subcommand,
 with unused sections null.  Exit status: 0 success, 1 validation failure,
-2 parse/structural/usage error.
+2 parse/structural/usage error, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +40,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a short report would otherwise first be written at exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as `head` expects
+        with (contextlib.suppress(AttributeError, OSError, ValueError),
+              open(os.devnull, "w") as devnull):  # quiet the flush at exit too
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE: what a shell reports for a C tool in the same pipe
     except (DocumentError, StructuralError, CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,11 +37,9 @@ from dataclasses import dataclass
 from math import comb
 from collections.abc import Sequence
 
-from .indexsets import IndexTuple, boundary_pattern, enumerate_tuples, format_index_tuple
+from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, coadjacencies, require_valid
-
-BasisLabels = tuple[tuple[tuple[IndexTuple, str], ...], ...]
 
 
 class ChainComplexError(ValueError):
@@ -62,16 +60,15 @@ class ChainComplex:
     """A finite free chain complex over the integers.
 
     ``boundaries[p-1]`` is the map from degree ``p`` to degree ``p - 1``
-    and has shape ``ranks[p-1] x ranks[p]``.  ``basis_labels``, when
-    present, lists the (index tuple, vertex) pair behind each coordinate
-    of each degree; ``coadjacencies``, when present, are the ``B_i`` the
-    boundaries were built from.
+    and has shape ``ranks[p-1] x ranks[p]``.  ``vertices`` and
+    ``coadjacencies``, when present, are the vertex labels and the ``B_i``
+    of the spec the complex was built from.
     """
 
     length: int
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
-    basis_labels: BasisLabels | None = None
+    vertices: tuple[str, ...] | None = None
     coadjacencies: tuple[IntMatrix, ...] | None = None
 
     def __post_init__(self):
@@ -101,7 +98,8 @@ class ChainComplex:
 
     def labels(self, p: int) -> list[str]:
         """The degree-``p`` coordinates as printed: ``(1,3):v`` or ``*:v``."""
-        return [f"{format_index_tuple(a)}:{v}" for a, v in self.basis_labels[p]]
+        return [f"{format_index_tuple(a)}:{v}"
+                for a in enumerate_tuples(p, self.length) for v in self.vertices]
 
 
 def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] | None:
@@ -177,13 +175,6 @@ def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
     )
 
 
-def basis_labels_for(spec: KGraphSpec) -> BasisLabels:
-    return tuple(
-        tuple((a, v) for a in enumerate_tuples(p, spec.rank).tuples for v in spec.vertices)
-        for p in range(spec.rank + 1)
-    )
-
-
 def build_complex(spec: KGraphSpec) -> ChainComplex:
     """The full Evans chain complex of a validated spec.
 
@@ -199,7 +190,7 @@ def build_complex(spec: KGraphSpec) -> ChainComplex:
     bs = coadjacencies(spec)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
-    cc = ChainComplex(k, ranks, boundaries, basis_labels_for(spec), bs)
+    cc = ChainComplex(k, ranks, boundaries, spec.vertices, bs)
     witness = differential_product_witness(cc)
     if witness is not None:
         raise ChainComplexError(*witness)

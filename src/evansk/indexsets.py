@@ -10,11 +10,11 @@ literal statement about matrix layout:
   canonical order of degree ``p - 1`` over rank ``k - 1``;
 * tuples avoiding ``k`` follow, in the canonical order of rank ``k - 1``.
 
->>> enumerate_tuples(2, 4).tuples
+>>> enumerate_tuples(2, 4)
 ((3, 4), (2, 4), (1, 4), (2, 3), (1, 3), (1, 2))
->>> enumerate_tuples(0, 3).tuples
+>>> enumerate_tuples(0, 3)
 ((),)
->>> enumerate_tuples(3, 2).tuples
+>>> enumerate_tuples(3, 2)
 ()
 
 The degree-``p`` boundary deletes each coordinate of each tuple in turn,
@@ -25,7 +25,6 @@ table is read from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 IndexTuple = tuple[int, ...]
@@ -34,39 +33,8 @@ IndexTuple = tuple[int, ...]
 BASEPOINT: IndexTuple = ()
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalOrder:
-    """The canonical enumeration of one degree-``p`` index set.
-
-    ``position`` maps each tuple to its zero-based slot; lookups must go
-    through it, never through a linear search.
-    """
-
-    p: int
-    k: int
-    tuples: tuple[IndexTuple, ...]
-    position: dict[IndexTuple, int]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-
 @lru_cache(maxsize=None)
-def _ordered(p: int, k: int) -> tuple[IndexTuple, ...]:
-    if p == 0:
-        return (BASEPOINT,)
-    if p > k:
-        return ()
-    with_k = tuple(a + (k,) for a in _ordered(p - 1, k - 1))
-    without_k = _ordered(p, k - 1)
-    return with_k + without_k
-
-
-@lru_cache(maxsize=None)
-def enumerate_tuples(p: int, k: int) -> CanonicalOrder:
+def enumerate_tuples(p: int, k: int) -> tuple[IndexTuple, ...]:
     """Canonical order of the strictly increasing ``p``-tuples in ``{1..k}``.
 
     Degenerate degrees return an empty order (``p > k``) or the basepoint
@@ -74,8 +42,12 @@ def enumerate_tuples(p: int, k: int) -> CanonicalOrder:
     """
     if p < 0 or k < 0:
         raise ValueError(f"degree and rank must be nonnegative, got p={p}, k={k}")
-    tuples = _ordered(p, k)
-    return CanonicalOrder(p, k, tuples, {a: i for i, a in enumerate(tuples)})
+    if p == 0:
+        return (BASEPOINT,)
+    if p > k:
+        return ()
+    with_k = tuple(a + (k,) for a in enumerate_tuples(p - 1, k - 1))
+    return with_k + enumerate_tuples(p, k - 1)
 
 
 def delete_coordinate(a: IndexTuple, i: int) -> IndexTuple:
@@ -105,10 +77,10 @@ def boundary_pattern(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     >>> boundary_pattern(2, 2)
     ((0, 0, 1, 1), (1, 0, 2, -1))
     """
-    rows = enumerate_tuples(p - 1, k).position
+    rows = {a: row for row, a in enumerate(enumerate_tuples(p - 1, k))}
     return tuple(
         (rows[delete_coordinate(a, i)], col, a[i - 1], 1 if i % 2 else -1)
-        for col, a in enumerate(enumerate_tuples(p, k).tuples)
+        for col, a in enumerate(enumerate_tuples(p, k))
         for i in range(1, p + 1)
     )
 

@@ -70,8 +70,8 @@ def _render_grid(
 
 def render_symbolic_differential(p: int, k: int) -> str:
     """Figure-style symbolic table for a single-vertex boundary."""
-    row_labels = [format_index_tuple(a) for a in enumerate_tuples(p - 1, k).tuples]
-    col_labels = [format_index_tuple(a) for a in enumerate_tuples(p, k).tuples]
+    row_labels = [format_index_tuple(a) for a in enumerate_tuples(p - 1, k)]
+    col_labels = [format_index_tuple(a) for a in enumerate_tuples(p, k)]
     row_split, col_split = _partition_splits(p, k)
     return _render_grid(row_labels, col_labels, symbolic_blocks(p, k), row_split, col_split)
 

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evansk
 from evansk import dumps_document, loads_documents
 from evansk.cli import main
 from evansk.complexes import build_complex
@@ -193,6 +197,23 @@ def test_gen_polynomial_family_bad_parameters(flag, value, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert flag[2:] in captured.err
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    # A reader that stops early (`evansk gen monoid --k 4 | head -c 1`):
+    # the 2 MB report cannot fit in the pipe, so the writer meets the
+    # closed end and must stop with the shell's SIGPIPE status, no message.
+    env = dict(os.environ)
+    src = str(Path(evansk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evansk.cli", "gen", "monoid", "--k", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_gen_to_file(tmp_path):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from evansk import (
     DocumentError,
@@ -12,6 +13,8 @@ from evansk import (
     monoid_spec,
 )
 from evansk.corpus import exhaustive_monoid_documents
+
+from strategies import documents
 
 
 def test_round_trip_dict():
@@ -27,6 +30,14 @@ def test_round_trip_json():
 def test_round_trip_document_list():
     docs = exhaustive_monoid_documents(2, range(2, 4))
     assert loads_documents(dumps_documents(docs)) == docs
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents)
+def test_round_trip_property(doc):
+    assert document_from_dict(document_to_dict(doc)) == doc
+    assert loads_document(dumps_document(doc)) == doc
 
 
 def test_name_is_optional():

@@ -17,6 +17,7 @@ from evansk import (
 )
 
 from oracles import random_unimodular
+from strategies import specs
 
 
 def test_monoid_rank2_example():
@@ -55,6 +56,16 @@ def test_euler_characteristic():
         assert chi_ranks == chi_homology
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(specs)
+def test_euler_characteristic_property(spec):
+    cc = build_complex(spec)
+    groups = homology(cc, check=False)
+    chi_ranks = sum((-1) ** p * r for p, r in enumerate(cc.ranks))
+    assert chi_ranks == sum((-1) ** p * g.free_rank for p, g in enumerate(groups))
+
+
 def test_basis_change_invariance():
     rng = random.Random(99)
     cc = build_complex(monoid_spec([3, 5, 7]))
@@ -77,6 +88,15 @@ def test_permuted_coordinates_same_homology():
     base = homology(build_complex(spec), check=False)
     for sigma in [(2, 1, 3), (3, 1, 2), (3, 2, 1)]:
         assert homology(build_complex(permute_coordinates(spec, sigma)), check=False) == base
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), specs)
+def test_permuted_coordinates_same_homology_property(data, spec):
+    sigma = data.draw(st.permutations(range(1, spec.rank + 1)))
+    permuted = permute_coordinates(spec, sigma)
+    assert homology(build_complex(permuted)) == homology(build_complex(spec))
 
 
 def test_group_formatting():

@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,30 +21,30 @@ def plus_minus(p, k):
     a plus tuple, phi reads a rank ``k - 1`` tuple at rank ``k``.  The
     tests named after them check the order realises both, in order.
     """
-    tuples = enumerate_tuples(p, k).tuples
+    tuples = enumerate_tuples(p, k)
     cut = comb(k - 1, p - 1) if p >= 1 else 0
     return tuples[:cut], tuples[cut:]
 
 
 def test_order_matches_block_figure_labels():
-    assert enumerate_tuples(2, 4).tuples == ((3, 4), (2, 4), (1, 4), (2, 3), (1, 3), (1, 2))
+    assert enumerate_tuples(2, 4) == ((3, 4), (2, 4), (1, 4), (2, 3), (1, 3), (1, 2))
 
 
 def test_degree_zero_is_basepoint():
-    assert enumerate_tuples(0, 3).tuples == (BASEPOINT,)
-    assert enumerate_tuples(0, 0).tuples == (BASEPOINT,)
+    assert enumerate_tuples(0, 3) == (BASEPOINT,)
+    assert enumerate_tuples(0, 0) == (BASEPOINT,)
 
 
 def test_rank_four_degree_one_is_descending():
-    assert enumerate_tuples(1, 4).tuples == ((4,), (3,), (2,), (1,))
+    assert enumerate_tuples(1, 4) == ((4,), (3,), (2,), (1,))
 
 
 def test_degree_above_rank_is_empty():
-    assert enumerate_tuples(3, 2).tuples == ()
+    assert enumerate_tuples(3, 2) == ()
 
 
 def test_top_degree_is_full_tuple():
-    assert enumerate_tuples(4, 4).tuples == ((1, 2, 3, 4),)
+    assert enumerate_tuples(4, 4) == ((1, 2, 3, 4),)
 
 
 def test_negative_arguments_rejected():
@@ -58,11 +59,19 @@ def test_sizes_and_positions(k):
     for p in range(k + 1):
         order = enumerate_tuples(p, k)
         assert len(order) == comb(k, p)
-        assert len(set(order.tuples)) == len(order)
-        for slot, a in enumerate(order.tuples):
-            assert order.position[a] == slot
+        assert len(set(order)) == len(order)
+        for a in order:
             assert all(x < y for x, y in zip(a, a[1:]))
             assert all(1 <= x <= k for x in a)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_order_is_reverse_colexicographic(k):
+    # A closed form that shares no code with the recursion: sort by the
+    # reversed tuple, largest first.
+    for p in range(k + 2):
+        colex = sorted(combinations(range(1, k + 1), p), key=lambda a: a[::-1], reverse=True)
+        assert enumerate_tuples(p, k) == tuple(colex)
 
 
 def test_partition_examples():
@@ -83,7 +92,7 @@ def test_degree_zero_partition():
 def test_partition_concatenation_is_canonical_order(k):
     for p in range(k + 1):
         plus, minus = plus_minus(p, k)
-        assert plus + minus == enumerate_tuples(p, k).tuples
+        assert plus + minus == enumerate_tuples(p, k)
         assert all(a[-1] == k for a in plus)
         assert all(not a or a[-1] != k for a in minus)
 
@@ -123,12 +132,12 @@ def test_psi_is_order_preserving_bijection(k):
 def test_append_k_inverts_psi(k):
     for p in range(1, k + 1):
         plus, _ = plus_minus(p, k)
-        assert tuple(b + (k,) for b in enumerate_tuples(p - 1, k - 1).tuples) == plus
+        assert tuple(b + (k,) for b in enumerate_tuples(p - 1, k - 1)) == plus
 
 
 def test_phi_examples():
-    assert enumerate_tuples(3, 3).tuples == plus_minus(3, 4)[1]
-    assert enumerate_tuples(0, 1).tuples == plus_minus(0, 2)[1]
+    assert enumerate_tuples(3, 3) == plus_minus(3, 4)[1]
+    assert enumerate_tuples(0, 1) == plus_minus(0, 2)[1]
     assert (2, 3) in plus_minus(2, 4)[1]
 
 
@@ -136,7 +145,7 @@ def test_phi_examples():
 def test_phi_image_is_minus_block_in_order(k):
     for p in range(k):
         _, minus = plus_minus(p, k)
-        assert enumerate_tuples(p, k - 1).tuples == minus
+        assert enumerate_tuples(p, k - 1) == minus
 
 
 @pytest.mark.parametrize("k", range(1, 8))

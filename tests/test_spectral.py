@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from evansk import (
     TRIVIAL_GROUP,
@@ -17,6 +18,8 @@ from evansk import (
     spec_from_matrices,
 )
 from evansk.corpus import random_polynomial_documents
+
+from strategies import specs
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
@@ -180,6 +183,24 @@ def test_dispatch_is_total_and_unique():
             assert v.ses is not None
         if v.kind in (VerdictKind.TRIVIAL, VerdictKind.DETERMINED):
             assert v.k0 is not None and v.k1 is not None
+
+
+
+# Which of K0, K1 and the K0 sequence each kind of verdict sets.
+KIND_FIELDS = {
+    VerdictKind.TRIVIAL: (True, True, False),
+    VerdictKind.DETERMINED: (True, True, False),
+    VerdictKind.SHORT_EXACT_SEQUENCE: (False, True, True),
+    VerdictKind.INDETERMINATE: (False, False, False),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs)
+def test_dispatch_is_total_property(spec):
+    v = k_theory_verdict(spec)
+    assert v.rule in {f"R{i}" for i in range(1, 9)}
+    assert (v.k0 is not None, v.k1 is not None, v.ses is not None) == KIND_FIELDS[v.kind]
 
 
 def test_verdict_serialization_shape():
