@@ -52,6 +52,7 @@ from .kgraph import (
 )
 from .snf import SnfResult, elementary_divisors, rank_from_divisors, smith_normal_form
 from .spectral import (
+    Analysis,
     E2Page,
     KTheoryVerdict,
     VerdictKind,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
+    "Analysis",
     "BASEPOINT",
     "ChainComplex",
     "ChainComplexError",

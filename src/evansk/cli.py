@@ -27,13 +27,11 @@ import sys
 import time
 from pathlib import Path
 
-from .complexes import build_complex
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
-from .homology import homology
-from .kgraph import SpecValidationError, StructuralError, ValidationReport, validate
+from .kgraph import StructuralError
 from .render import render_differential
-from .spectral import e2_page, verdict_from_homology
+from .spectral import Analysis, e2_page
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,15 +135,12 @@ def _make_command(command: str):
         out = _report_skeleton(command, doc)
         timings: dict[str, float] = {}
         t0 = time.perf_counter()
-        if command == "validate":
-            report = validate(spec)
-        else:
-            try:  # build_complex validates first; its refusal carries the report
-                cc = build_complex(spec)
-            except SpecValidationError as exc:
-                report = exc.report
-            else:
-                report = ValidationReport(())
+        analysis = Analysis(spec)
+        report = analysis.validation
+        if report.ok and command != "validate":
+            # Assemble now, if at all, so that its time counts as build.
+            if command == "complex" or not analysis.vanishes:
+                analysis.complex
         timings["build"] = time.perf_counter() - t0
         out["validation"] = _validation_dict(report)
         if not report.ok:
@@ -169,6 +164,7 @@ def _make_command(command: str):
 
         text_lines: list[str] = []
         if command == "complex":
+            cc = analysis.complex
             out["complex"] = {
                 "ranks": list(cc.ranks),
                 "differentials": [
@@ -189,7 +185,7 @@ def _make_command(command: str):
                 text_lines.append(render_differential(cc, p))
         else:
             t1 = time.perf_counter()
-            groups = homology(cc, check=False)
+            groups = analysis.homology
             timings["homology"] = time.perf_counter() - t1
             out["homology"] = [g.to_dict() for g in groups]
             page = e2_page(groups, k)
@@ -203,7 +199,7 @@ def _make_command(command: str):
                 )
             else:  # verdict
                 t2 = time.perf_counter()
-                verdict = verdict_from_homology(cc, groups)
+                verdict = analysis.verdict
                 timings["verdict"] = time.perf_counter() - t2
                 out["verdict"] = verdict.to_dict()
                 text_lines.append(_verdict_line(verdict))

@@ -175,7 +175,8 @@ def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
     )
 
 
-def build_complex(spec: KGraphSpec) -> ChainComplex:
+def build_complex(spec: KGraphSpec, *,
+                  bs: tuple[IntMatrix, ...] | None = None) -> ChainComplex:
     """The full Evans chain complex of a validated spec.
 
     The spec is validated first (commuting matrices are a hard
@@ -183,11 +184,14 @@ def build_complex(spec: KGraphSpec) -> ChainComplex:
     boundaries are filled in from the signed-deletion pattern, and
     ``d o d = 0`` is checked eagerly so that any convention bug fails
     loudly at build time.  The complex carries the ``B_i`` it was built
-    from.
+    from.  A caller that has already validated the spec passes its
+    co-adjacency matrices as ``bs``; they are then used as given, and the
+    spec is not validated again.
     """
-    require_valid(spec)
+    if bs is None:
+        require_valid(spec)
+        bs = coadjacencies(spec)
     k, n = spec.rank, spec.num_vertices
-    bs = coadjacencies(spec)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
     cc = ChainComplex(k, ranks, boundaries, spec.vertices, bs)

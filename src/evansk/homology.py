@@ -101,10 +101,13 @@ TRIVIAL_GROUP = AbelianGroup()
 
 
 def homology(cc: ChainComplex, *, check: bool = True) -> list[AbelianGroup]:
-    """Homology groups in degrees ``0..length``.
+    """Homology groups in degrees ``0..length``, always from the
+    elementary divisors of every boundary.
 
     ``check`` re-verifies ``d o d = 0`` before computing; pass False only
-    when the complex was already verified at build time.
+    when the complex was already verified at build time.  The verdict
+    path (:class:`evansk.spectral.Analysis`) calls this only when the
+    determinants of the ``B_i`` do not already prove every group zero.
     """
     if check:
         witness = differential_product_witness(cc)

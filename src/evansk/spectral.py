@@ -24,18 +24,31 @@ any later differential to act, and the relevant extensions split off free
 groups); they are flagged as derived in the justification text rather
 than quoted closed forms.  R4's extension problem is genuinely open: the
 candidate middle groups are listed as commentary only.
+
+:class:`Analysis` is the pipeline behind every verdict.  Its homology
+stage proves the page zero, without building the complex, whenever
+``gcd(det B_1, ..., det B_k) = 1`` (a zero determinant counts as in
+``gcd(0, x) = |x|``).  The argument is the Koszul-complex one of Evans,
+"On the K-theory of higher rank graph C*-algebras", NYJM 14 (2008): the
+adjugate ``adj(B_i)`` is an integer polynomial in ``B_i``, so it
+commutes with every ``B_j``, and ``h = adj(B_i)`` placed on the
+transposed signed deletions of coordinate ``i`` satisfies
+``d h + h d = det(B_i) * 1`` in every degree.  So each ``det(B_i)``
+annihilates every ``H_p``, and so does their gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import comb, gcd
 from collections.abc import Sequence
 
 from .complexes import ChainComplex, build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
-from .kgraph import KGraphSpec
+from .intmat import IntMatrix
+from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
 
 
 @dataclass(frozen=True)
@@ -125,27 +138,75 @@ def _ses_middle_candidates(g: int) -> str:
     return ", ".join(dict.fromkeys(names))
 
 
-def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
-    """Build, compute homology, and apply the first matching rule.
+class Analysis:
+    """One spec's way to a verdict, in stages that each run at most once
+    and only when something reads them:
 
-    ``build_complex`` validates the spec first, so an invalid spec raises
-    :class:`~evansk.kgraph.SpecValidationError` before any other work.
+    ``validation -> coadjacencies -> determinants -> complex -> homology
+    -> verdict``
+
+    Every stage after ``validation`` raises
+    :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
+    ``homology`` stage reads ``complex`` only when the determinants do not
+    already prove every group zero (``vanishes``; see the module notes).
     """
-    cc = build_complex(spec)
-    return verdict_from_homology(cc, homology(cc, check=False))
+
+    def __init__(self, spec: KGraphSpec):
+        self.spec = spec
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate(self.spec)
+
+    @cached_property
+    def coadjacencies(self) -> tuple[IntMatrix, ...]:
+        if not self.validation.ok:
+            raise SpecValidationError(self.validation)
+        return coadjacencies(self.spec)
+
+    @cached_property
+    def determinants(self) -> tuple[int, ...]:
+        return tuple(b.det() for b in self.coadjacencies)
+
+    @cached_property
+    def vanishes(self) -> bool:
+        """Whether ``gcd(det B_i) = 1``, which makes every ``H_p`` zero."""
+        return gcd(*self.determinants) == 1
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        return build_complex(self.spec, bs=self.coadjacencies)
+
+    @cached_property
+    def homology(self) -> tuple[AbelianGroup, ...]:
+        if self.vanishes:
+            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
+        return tuple(homology(self.complex, check=False))
+
+    @cached_property
+    def verdict(self) -> KTheoryVerdict:
+        return verdict_from_homology(self.coadjacencies, self.determinants, self.homology)
 
 
-def verdict_from_homology(cc: ChainComplex, hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
-    """Apply the first matching rule to the Evans complex ``cc`` of a valid
-    spec (its length is the rank, its degree-0 rank the vertex count, and
-    it carries the co-adjacency matrices) and its homology ``hs`` in
-    degrees ``0..k``; nothing is rebuilt or revalidated."""
-    k = cc.length
+def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
+    """Validate, compute homology, and apply the first matching rule.
+
+    An invalid spec raises :class:`~evansk.kgraph.SpecValidationError`
+    before any other work.
+    """
+    return Analysis(spec).verdict
+
+
+def verdict_from_homology(bs: Sequence[IntMatrix], determinants: Sequence[int],
+                          hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
+    """Apply the first matching rule to the co-adjacency matrices ``bs`` of
+    a valid spec (their count is the rank, their size the vertex count),
+    their ``determinants``, and the homology ``hs`` in degrees ``0..k``;
+    nothing is rebuilt or revalidated."""
+    k = len(bs)
     page = e2_page(hs, k)
-    bs = cc.coadjacencies
 
-    for i, b in enumerate(bs, start=1):
-        det = b.det()
+    for i, det in enumerate(determinants, start=1):
         if det in (1, -1):
             return KTheoryVerdict(
                 kind=VerdictKind.TRIVIAL, rule="R1", e2=page,
@@ -156,7 +217,7 @@ def verdict_from_homology(cc: ChainComplex, hs: Sequence[AbelianGroup]) -> KTheo
                 ),
             )
 
-    if cc.ranks[0] == 1:  # one vertex
+    if bs[0].rows == 1:  # one vertex
         scalars = [b[0, 0] for b in bs]
         if all(s == 0 for s in scalars):
             size = 2 ** (k - 1)

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
-Deliberately naive implementations: cofactor-expansion determinants,
-divisor chains from gcds of minors, the ``d o d`` witness from dense
-products, and unimodular matrices assembled from elementary operations
-with the inverse tracked alongside.  Nothing here calls into the
+Deliberately naive implementations: cofactor-expansion determinants and
+adjugates, divisor chains from gcds of minors, the ``d o d`` witness
+from dense products, and unimodular matrices assembled from elementary
+operations with the inverse tracked alongside.  Nothing here calls into the
 library's elimination code, so these stay valid as cross-checks no
 matter how the library evolves.
 """
@@ -30,6 +30,17 @@ def det_cofactor(rows: list[list[int]]) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def adjugate(rows: list[list[int]]) -> list[list[int]]:
+    """Transposed cofactor matrix: ``adj[i][j]`` is ``(-1)^(i+j)`` times
+    the determinant of ``rows`` without row ``j`` and column ``i``."""
+    n = len(rows)
+    return [
+        [(-1) ** (i + j) * det_cofactor([r[:i] + r[i + 1:] for t, r in enumerate(rows) if t != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def minor_gcd_divisors(rows: list[list[int]]) -> tuple[int, ...]:

@@ -5,13 +5,18 @@ ranks 1..5: 66429 specs) is swept once by a module-scoped fixture that
 builds every complex from the signed-deletion pattern, compares each
 boundary with the paper's block recursion, checks the boundary shapes,
 and computes homology along both the block and tensor routes; criteria
-then assert over the collected results.  All comparisons are exact.
+then assert over the collected results, and the homology it keeps for
+ranks up to 4 checks the verdicts that the verdict path proves without
+building a complex.  All comparisons are exact.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion with timings.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 
@@ -20,6 +25,7 @@ import pytest
 from evansk import (
     AbelianGroup,
     ChainComplex,
+    GraphDocument,
     IntMatrix,
     SpecValidationError,
     TRIVIAL_GROUP,
@@ -29,6 +35,7 @@ from evansk import (
     build_differential_recursive,
     coadjacencies,
     differential_product_witness,
+    document_to_dict,
     homology,
     k_theory_verdict,
     monoid_closed_form,
@@ -37,8 +44,10 @@ from evansk import (
     spec_from_matrices,
     tensor_monoid_complex,
 )
+from evansk.cli import main
 from evansk.corpus import random_polynomial_documents
 from evansk.render import render_symbolic_differential, symbolic_blocks
+from evansk.spectral import verdict_from_homology
 
 from oracles import minor_gcd_divisors, random_unimodular
 
@@ -54,6 +63,9 @@ SNF_COUNT = 200
 SNF_SEED = 307
 BASIS_TRIALS = 20
 BASIS_SEED = 401
+PROOF_MAX_RANK = 4
+PROOF_POLY_SEEDS = (1, 2)
+PROOF_POLY_COUNT = 1000
 
 
 def announce(number: int, text: str) -> None:
@@ -75,6 +87,7 @@ def monoid_sweep():
     shape_failures = []
     tensor_failures = []
     closed_failures = []
+    pages = {}  # loop counts -> homology, for ranks <= PROOF_MAX_RANK
     built = 0
     nontrivial = 0
     for k in RANKS:
@@ -88,6 +101,8 @@ def monoid_sweep():
             if not edge_shapes_ok(cc):
                 shape_failures.append(ms)
             hs = tuple(homology(cc, check=False))
+            if k <= PROOF_MAX_RANK:
+                pages[ms] = hs
             tensor = tensor_monoid_complex([1 - m for m in ms])
             if differential_product_witness(tensor) is not None:
                 tensor_failures.append((ms, "tensor complex fails d o d = 0"))
@@ -105,6 +120,7 @@ def monoid_sweep():
         "shape_failures": shape_failures,
         "tensor_failures": tensor_failures,
         "closed_failures": closed_failures,
+        "pages": pages,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -323,3 +339,36 @@ def test_criterion_11_basis_change_invariance():
         assert homology(conjugated) == baselines[trial % len(pool)]
     announce(11, f"homology invariant under unimodular conjugation in "
                  f"{BASIS_TRIALS} trials")
+
+
+def test_proved_verdicts_match_computed_homology(monoid_sweep, tmp_path):
+    # The verdict path proves every group zero from gcd det(B_i) = 1 and
+    # then builds no complex.  The rule dispatch applied to homology
+    # computed from the built complex must give the same verdict, through
+    # the library and through the CLI's JSON report.
+    t0 = time.perf_counter()
+    cases = [(monoid_spec(ms), hs) for ms, hs in monoid_sweep["pages"].items()]
+    for seed in PROOF_POLY_SEEDS:
+        for doc in random_polynomial_documents(PROOF_POLY_COUNT, seed):
+            cases.append((doc.spec, homology(build_complex(doc.spec), check=False)))
+    assert len(cases) == (sum(9 ** k for k in range(1, PROOF_MAX_RANK + 1))
+                          + len(PROOF_POLY_SEEDS) * PROOF_POLY_COUNT)
+    path = tmp_path / "doc.json"
+    argv = ["verdict", str(path), "--format", "json"]
+    # One handle, rewritten in place: truncating on open is slow on some disks.
+    with open(path, "w", encoding="utf-8") as doc_file:
+        for spec, hs in cases:
+            bs = coadjacencies(spec)
+            expected = verdict_from_homology(bs, [b.det() for b in bs], hs)
+            assert k_theory_verdict(spec) == expected
+            doc_file.seek(0)
+            doc_file.write(json.dumps(document_to_dict(GraphDocument(spec=spec))))
+            doc_file.truncate()
+            doc_file.flush()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            # The verdict carries the E2 page, so this compares the homology too.
+            assert json.loads(out.getvalue())["verdict"] == expected.to_dict()
+    print(f"PASS proved verdicts: {len(cases)} library and CLI verdicts equal the "
+          f"dispatch on computed homology ({time.perf_counter() - t0:.1f}s)")

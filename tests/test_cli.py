@@ -16,6 +16,7 @@ from evansk.complexes import build_complex
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import homology
+from evansk.intmat import IntMatrix
 from evansk.kgraph import SpecValidationError, coadjacencies, spec_from_matrices, validate
 from evansk.spectral import e2_page, k_theory_verdict
 
@@ -281,19 +282,41 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def _count_determinants(monkeypatch) -> list:
+    calls = []
+    det = IntMatrix.det
+
+    def counted(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(IntMatrix, "det", counted)
+    return calls
+
+
+UNIMODULAR_B1 = monoid_document([2, 4, 6, 8]).spec  # B = (-1, -3, -5, -7): rule R1
+COPRIME_DETS = monoid_document([3, 4]).spec  # dets -2 and -3, none a unit: rule R3
+
+
 @pytest.mark.parametrize("spec, status", [
     (monoid_document([3, 5, 7]).spec, 0),
     (monoid_document([1, 1]).spec, 0),
-    (monoid_document([2, 4, 6, 8]).spec, 0),
+    (UNIMODULAR_B1, 0),
     (NON_COMMUTING, 1),
+    (COPRIME_DETS, 0),
 ])
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
     builds = _count_calls(monkeypatch, build_complex)
     coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
+    determinants = _count_determinants(monkeypatch)
     assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
-    assert (len(validations), len(builds)) == (1, 1)
+    assert len(validations) == 1
+    # gcd det(B_i) = 1 proves every group zero, so no complex is assembled.
+    proved = spec in (UNIMODULAR_B1, COPRIME_DETS)
+    assert len(builds) == (1 if status == 0 and not proved else 0)
     assert len(coadjacency_builds) == (1 if status == 0 else 0)
+    assert len(determinants) == (spec.rank if status == 0 else 0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -304,8 +327,10 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
 ])
 def test_library_verdict_builds_coadjacencies_once(spec, monkeypatch):
     coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
+    determinants = _count_determinants(monkeypatch)
     k_theory_verdict(spec)
     assert len(coadjacency_builds) == 1
+    assert len(determinants) == spec.rank
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):
