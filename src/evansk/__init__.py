@@ -1,9 +1,10 @@
 """Exact K-theory bookkeeping for higher-rank graph algebras.
 
 Build the Evans chain complex of a k-graph from its commuting adjacency
-matrices, compute integer homology via Smith normal form, assemble the E2
-page of the convergence spectral sequence, and report what that page does
-(and does not) pin down about K-theory.
+matrices, compute integer homology exactly (from the determinants or the
+one-vertex Künneth closed form where they apply, else via Smith normal
+form), assemble the E2 page of the convergence spectral sequence, and
+report what that page does (and does not) pin down about K-theory.
 """
 
 from .complexes import (

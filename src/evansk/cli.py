@@ -139,7 +139,7 @@ def _make_command(command: str):
         report = analysis.validation
         if report.ok and command != "validate":
             # Assemble now, if at all, so that its time counts as build.
-            if command == "complex" or not analysis.vanishes:
+            if command == "complex" or analysis.needs_complex:
                 analysis.complex
         timings["build"] = time.perf_counter() - t0
         out["validation"] = _validation_dict(report)
@@ -187,9 +187,10 @@ def _make_command(command: str):
             t1 = time.perf_counter()
             groups = analysis.homology
             timings["homology"] = time.perf_counter() - t1
-            out["homology"] = [g.to_dict() for g in groups]
             page = e2_page(groups, k)
-            out["e2"] = page.to_dict()
+            if args.format == "json":  # a text report never expands the torsion
+                out["homology"] = [g.to_dict() for g in groups]
+                out["e2"] = page.to_dict()
             if command == "homology":
                 text_lines.extend(f"H_{p} = {g}" for p, g in enumerate(groups))
             elif command == "e2":
@@ -201,7 +202,8 @@ def _make_command(command: str):
                 t2 = time.perf_counter()
                 verdict = analysis.verdict
                 timings["verdict"] = time.perf_counter() - t2
-                out["verdict"] = verdict.to_dict()
+                if args.format == "json":
+                    out["verdict"] = verdict.to_dict()
                 text_lines.append(_verdict_line(verdict))
                 text_lines.append(f"justification: {verdict.justification}")
                 if verdict.commentary:

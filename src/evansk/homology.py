@@ -18,32 +18,43 @@ torsion orders, never with unit factors:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 
 from .complexes import ChainComplex, ChainComplexError, differential_product_witness
 from .snf import elementary_divisors, invariant_factors, rank_from_divisors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbelianGroup:
     """A finitely generated abelian group: free rank plus invariant factors.
 
     Torsion orders are all >= 2 and each divides the next, so the
-    presentation is unique and equality is isomorphism.
+    presentation is unique and equality is isomorphism.  They are kept as
+    ``runs``, ``(order, multiplicity)`` pairs with strictly increasing
+    orders, so a group such as ``Z2^(10**12)`` costs one pair; ``torsion``
+    expands them.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    free_rank: int
+    runs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"free rank must be nonnegative, got {self.free_rank}")
-        for t in self.torsion:
+    def __init__(self, free_rank: int = 0, torsion: Sequence[int] = ()):
+        self._set(free_rank, tuple((t, sum(1 for _ in same)) for t, same in groupby(torsion)))
+
+    def _set(self, free_rank: int, runs: tuple[tuple[int, int], ...]) -> None:
+        if free_rank < 0:
+            raise ValueError(f"free rank must be nonnegative, got {free_rank}")
+        for t, _ in runs:
             if t < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {t}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for (a, _), (b, _) in zip(runs, runs[1:]):
             if b % a:
-                raise ValueError(f"torsion orders must form a divisibility chain: {self.torsion}")
+                raise ValueError("torsion orders must form a divisibility chain: "
+                                 f"{_expand(runs)}")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
     def free(cls, rank: int) -> AbelianGroup:
@@ -55,17 +66,23 @@ class AbelianGroup:
         order = abs(order)
         if order == 0:
             return cls(free_rank=copies)
-        if order == 1:
+        if order == 1 or copies <= 0:
             return cls()
-        return cls(torsion=(order,) * copies)
+        group = object.__new__(cls)
+        group._set(0, ((order, copies),))
+        return group
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return _expand(self.runs)
 
     @property
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        return self.free_rank == 0 and not self.runs
 
     @property
     def is_torsion_free(self) -> bool:
-        return not self.torsion
+        return not self.runs
 
     def direct_sum(self, other: AbelianGroup) -> AbelianGroup:
         """Direct sum, renormalized back to a divisibility chain."""
@@ -78,15 +95,7 @@ class AbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        run_value: int | None = None
-        run_count = 0
-        for t in self.torsion + (0,):  # sentinel flushes the last run
-            if t == run_value:
-                run_count += 1
-                continue
-            if run_value is not None and run_count:
-                parts.append(f"Z{run_value}" + (f"^{run_count}" if run_count > 1 else ""))
-            run_value, run_count = t, 1
+        parts.extend(f"Z{t}" + (f"^{m}" if m > 1 else "") for t, m in self.runs)
         return " x ".join(parts) if parts else "0"
 
     def to_dict(self) -> dict:
@@ -95,6 +104,10 @@ class AbelianGroup:
             "torsion": list(self.torsion),
             "pretty": str(self),
         }
+
+
+def _expand(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(repeat(t, m) for t, m in runs))
 
 
 TRIVIAL_GROUP = AbelianGroup()

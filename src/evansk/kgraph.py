@@ -130,41 +130,40 @@ def validate(spec: KGraphSpec) -> ValidationReport:
     """
     violations: list[Violation] = []
     n = spec.num_vertices
-    for idx, m in enumerate(spec.adjacency, start=1):
-        for r in range(n):
-            row = m.row(r)
-            for c in range(n):
-                if row[c] < 0:
-                    violations.append(Violation(
-                        "negative_entry", (idx, r, c),
-                        f"adjacency matrix {idx} has negative entry {row[c]} at ({r},{c})",
-                    ))
-            if all(x == 0 for x in row):
+    rows = [[m.row(r) for r in range(n)] for m in spec.adjacency]
+    for idx, m_rows in enumerate(rows, start=1):
+        for r, row in enumerate(m_rows):
+            if min(row) < 0:
+                violations.extend(Violation(
+                    "negative_entry", (idx, r, c),
+                    f"adjacency matrix {idx} has negative entry {x} at ({r},{c})",
+                ) for c, x in enumerate(row) if x < 0)
+            if not any(row):
                 violations.append(Violation(
                     "zero_row", (idx, r),
                     f"not source-free at vertex {spec.vertices[r]!r}: "
                     f"row {r} of adjacency matrix {idx} is zero",
                 ))
+    if n == 1:  # 1x1 matrices always commute
+        return ValidationReport(tuple(violations))
+    cols = [tuple(zip(*m_rows)) for m_rows in rows]
     for i in range(spec.rank):
         for j in range(i + 1, spec.rank):
-            prod_ij = spec.adjacency[i] @ spec.adjacency[j]
-            prod_ji = spec.adjacency[j] @ spec.adjacency[i]
-            if prod_ij != prod_ji:
-                r, c = _first_difference(prod_ij, prod_ji)
-                violations.append(Violation(
-                    "non_commuting", (i + 1, j + 1, r, c),
-                    f"adjacency matrices {i + 1} and {j + 1} do not commute: "
-                    f"products differ at ({r},{c}): {prod_ij[r, c]} vs {prod_ji[r, c]}",
-                ))
+            prod_ij, prod_ji = _product(rows[i], cols[j]), _product(rows[j], cols[i])
+            if prod_ij == prod_ji:
+                continue
+            r, c = next((r, c) for r in range(n) for c in range(n)
+                        if prod_ij[r][c] != prod_ji[r][c])
+            violations.append(Violation(
+                "non_commuting", (i + 1, j + 1, r, c),
+                f"adjacency matrices {i + 1} and {j + 1} do not commute: "
+                f"products differ at ({r},{c}): {prod_ij[r][c]} vs {prod_ji[r][c]}",
+            ))
     return ValidationReport(tuple(violations))
 
 
-def _first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int]:
-    for r in range(a.rows):
-        for c in range(a.cols):
-            if a[r, c] != b[r, c]:
-                return r, c
-    raise AssertionError("matrices do not differ")
+def _product(rows, cols) -> list[list[int]]:
+    return [[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
 
 
 def require_valid(spec: KGraphSpec) -> None:
@@ -177,8 +176,11 @@ def coadjacency(spec: KGraphSpec, i: int) -> IntMatrix:
     """The matrix ``I - M_i^T`` of coordinate ``i`` (1-based)."""
     if not 1 <= i <= spec.rank:
         raise ValueError(f"coordinate {i} out of range 1..{spec.rank}")
-    n = spec.num_vertices
-    return IntMatrix.identity(n) - spec.adjacency[i - 1].transpose()
+    m = spec.adjacency[i - 1]
+    columns = zip(*[m.row(r) for r in range(m.rows)])
+    return IntMatrix._raw(m.rows, m.rows, tuple([
+        tuple([(r == c) - x for c, x in enumerate(column)]) for r, column in enumerate(columns)
+    ]))
 
 
 def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:

@@ -26,22 +26,33 @@ than quoted closed forms.  R4's extension problem is genuinely open: the
 candidate middle groups are listed as commentary only.
 
 :class:`Analysis` is the pipeline behind every verdict.  Its homology
-stage proves the page zero, without building the complex, whenever
-``gcd(det B_1, ..., det B_k) = 1`` (a zero determinant counts as in
-``gcd(0, x) = |x|``).  The argument is the Koszul-complex one of Evans,
-"On the K-theory of higher rank graph C*-algebras", NYJM 14 (2008): the
-adjugate ``adj(B_i)`` is an integer polynomial in ``B_i``, so it
-commutes with every ``B_j``, and ``h = adj(B_i)`` placed on the
-transposed signed deletions of coordinate ``i`` satisfies
-``d h + h d = det(B_i) * 1`` in every degree.  So each ``det(B_i)``
-annihilates every ``H_p``, and so does their gcd.
+stage tries three routes in order:
+
+1. ``gcd(det B_1, ..., det B_k) = 1`` (a zero determinant counts as in
+   ``gcd(0, x) = |x|``) proves every group zero.  The argument is the
+   Koszul-complex one of Evans, "On the K-theory of higher rank graph
+   C*-algebras", NYJM 14 (2008): the adjugate ``adj(B_i)`` is an integer
+   polynomial in ``B_i``, so it commutes with every ``B_j``, and
+   ``h = adj(B_i)`` placed on the transposed signed deletions of
+   coordinate ``i`` satisfies ``d h + h d = det(B_i) * 1`` in every
+   degree.  So each ``det(B_i)`` annihilates every ``H_p``, and so does
+   their gcd.
+2. A one-vertex spec is the tensor product of the two-term complexes
+   ``Z --B_i--> Z``, so the Künneth theorem gives every group from the
+   gcd ``g`` of the scalars: ``H_p = (Z_g)^C(k-1, p)`` when ``g != 0``
+   (:func:`monoid_closed_form`) and ``H_p = Z^C(k, p)``, the torus, when
+   every scalar is 0.
+3. Otherwise the complex is built and its boundaries go through Smith
+   normal form.
+
+Only the third route builds a complex.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import comb, gcd
 from collections.abc import Sequence
 
@@ -117,15 +128,17 @@ def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
     """Homology of a one-vertex complex from the gcd alone.
 
     Degree ``p`` is ``(Z_g)^C(k-1, p)`` with ``g`` the gcd of the scalars;
-    a unit gcd makes every group trivial.  The all-zero case has free
-    homology and is out of scope here (handled by rule R2 instead).
+    a unit gcd makes every group trivial.  The all-zero case is the torus,
+    whose homology ``Z^C(k, p)`` is free; it raises here, and
+    :attr:`Analysis.homology` answers it directly.
     """
     if all(b == 0 for b in b_values):
         raise ValueError("all scalars are zero; the closed form requires some B_i != 0")
     k = len(b_values)
     g = monoid_gcd(b_values)
-    return [AbelianGroup.cyclic(g, comb(k - 1, p)) if comb(k - 1, p) else TRIVIAL_GROUP
-            for p in range(k + 1)]
+    # C(k-1, p) = C(k-1, k-1-p), so one group object serves both degrees.
+    groups = {m: AbelianGroup.cyclic(g, m) for m in {comb(k - 1, p) for p in range(k)}}
+    return [groups[comb(k - 1, p)] for p in range(k)] + [TRIVIAL_GROUP]
 
 
 def _ses_middle_candidates(g: int) -> str:
@@ -138,52 +151,87 @@ def _ses_middle_candidates(g: int) -> str:
     return ", ".join(dict.fromkeys(names))
 
 
+@functools.cache
+def _trivial_page(k: int) -> tuple[AbelianGroup, ...]:
+    # One tuple per rank, shared by every verdict whose page vanishes.
+    return (TRIVIAL_GROUP,) * (k + 1)
+
+
+class _stage:
+    """A pipeline stage: computed on first read and kept in the instance
+    ``__dict__``, which then shadows this descriptor.  Unlike
+    ``functools.cached_property`` before Python 3.12, it takes no lock."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Analysis:
     """One spec's way to a verdict, in stages that each run at most once
     and only when something reads them:
 
-    ``validation -> coadjacencies -> determinants -> complex -> homology
-    -> verdict``
+    ``validation -> coadjacencies -> determinants -> homology -> verdict``
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
-    ``homology`` stage reads ``complex`` only when the determinants do not
-    already prove every group zero (``vanishes``; see the module notes).
+    ``homology`` stage takes the first route that applies (see the module
+    notes): ``vanishes``, then the one-vertex Künneth closed form, then
+    the ``complex`` stage and Smith normal form.  ``needs_complex`` says
+    whether it reaches the last.
     """
 
     def __init__(self, spec: KGraphSpec):
         self.spec = spec
 
-    @cached_property
+    @_stage
     def validation(self) -> ValidationReport:
         return validate(self.spec)
 
-    @cached_property
+    @_stage
     def coadjacencies(self) -> tuple[IntMatrix, ...]:
         if not self.validation.ok:
             raise SpecValidationError(self.validation)
         return coadjacencies(self.spec)
 
-    @cached_property
+    @_stage
     def determinants(self) -> tuple[int, ...]:
         return tuple(b.det() for b in self.coadjacencies)
 
-    @cached_property
+    @_stage
     def vanishes(self) -> bool:
         """Whether ``gcd(det B_i) = 1``, which makes every ``H_p`` zero."""
         return gcd(*self.determinants) == 1
 
-    @cached_property
+    @_stage
+    def needs_complex(self) -> bool:
+        """Whether the ``homology`` stage builds the complex."""
+        return not self.vanishes and not self.spec.is_monoid
+
+    @_stage
     def complex(self) -> ChainComplex:
         return build_complex(self.spec, bs=self.coadjacencies)
 
-    @cached_property
+    @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:
+        k = self.spec.rank
         if self.vanishes:
-            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
-        return tuple(homology(self.complex, check=False))
+            return _trivial_page(k)
+        if self.needs_complex:
+            return tuple(homology(self.complex, check=False))
+        scalars = [b[0, 0] for b in self.coadjacencies]  # one vertex: Künneth
+        if any(scalars):
+            return tuple(monoid_closed_form(scalars))
+        return tuple(AbelianGroup.free(comb(k, p)) for p in range(k + 1))
 
-    @cached_property
+    @_stage
     def verdict(self) -> KTheoryVerdict:
         return verdict_from_homology(self.coadjacencies, self.determinants, self.homology)
 

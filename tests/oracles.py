@@ -79,6 +79,20 @@ def dense_product_witness(cc) -> tuple[int, int, int, int] | None:
     return None
 
 
+def commutation_witnesses(mats: list[list[list[int]]]) -> list[tuple[int, int, int, int]]:
+    """``(i, j, r, c)`` for every pair ``i < j`` (1-based) of square
+    matrices whose dense products differ, at the first differing entry
+    in row-major order."""
+    found = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(mats, start=1), 2):
+        ab = IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)
+        ba = IntMatrix.from_rows(b) @ IntMatrix.from_rows(a)
+        diff = [(r, c) for r in range(ab.rows) for c in range(ab.cols) if ab[r, c] != ba[r, c]]
+        if diff:
+            found.append((i, j, *diff[0]))
+    return found
+
+
 def random_unimodular(n: int, rng, ops: int | None = None) -> tuple[IntMatrix, IntMatrix]:
     """A random unimodular matrix and its exact inverse.
 

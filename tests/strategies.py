@@ -21,3 +21,4 @@ monoid_documents = st.builds(
 )
 documents = polynomial_documents | monoid_documents
 specs = documents.map(lambda doc: doc.spec)
+wide_monoid_specs = st.lists(st.integers(1, 12), min_size=1, max_size=6).map(monoid_spec)

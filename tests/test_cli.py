@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,26 @@ def test_closed_output_pipe_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+def test_rank_30_gcd_2_text_verdict_in_bounded_memory(tmp_path):
+    # H_p = Z2^C(29, p) has 2^29 summands over the page; as runs of
+    # invariant factors the text verdict needs one per degree.
+    path = tmp_path / "rank30.json"
+    path.write_text(dumps_document(monoid_document([3] * 30)), encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(evansk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limited = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from evansk.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", limited, "verdict", str(path)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "indeterminate; rule R8"
+    columns = ["Z2"] + [f"Z2^{comb(29, p)}" for p in range(1, 29)] + ["Z2", "0"]
+    assert lines[-1] == "E2 columns: " + ", ".join(columns)
+
+
 def test_gen_to_file(tmp_path):
     target = tmp_path / "corpus.json"
     assert main(["gen", "monoid", "--k", "1", "--m-min", "1", "--m-max", "3",
@@ -296,6 +317,8 @@ def _count_determinants(monkeypatch) -> list:
 
 UNIMODULAR_B1 = monoid_document([2, 4, 6, 8]).spec  # B = (-1, -3, -5, -7): rule R1
 COPRIME_DETS = monoid_document([3, 4]).spec  # dets -2 and -3, none a unit: rule R3
+# Two commuting circulants with dets 0 and -4: no proof, no closed form.
+TWO_VERTEX_GCD_4 = spec_from_matrices([[[2, 1], [1, 2]], [[1, 2], [2, 1]]])
 
 
 @pytest.mark.parametrize("spec, status", [
@@ -304,6 +327,7 @@ COPRIME_DETS = monoid_document([3, 4]).spec  # dets -2 and -3, none a unit: rule
     (UNIMODULAR_B1, 0),
     (NON_COMMUTING, 1),
     (COPRIME_DETS, 0),
+    (TWO_VERTEX_GCD_4, 0),
 ])
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
@@ -312,9 +336,9 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     determinants = _count_determinants(monkeypatch)
     assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
     assert len(validations) == 1
-    # gcd det(B_i) = 1 proves every group zero, so no complex is assembled.
-    proved = spec in (UNIMODULAR_B1, COPRIME_DETS)
-    assert len(builds) == (1 if status == 0 and not proved else 0)
+    # gcd det(B_i) = 1 proves every group zero, and a one-vertex page comes
+    # from the Künneth closed form: neither assembles the complex.
+    assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
     assert len(coadjacency_builds) == (1 if status == 0 else 0)
     assert len(determinants) == (spec.rank if status == 0 else 0)
 

@@ -109,12 +109,16 @@ def test_group_formatting():
 
 
 def test_group_invariants_enforced():
-    with pytest.raises(ValueError):
-        AbelianGroup(-1)
-    with pytest.raises(ValueError):
-        AbelianGroup(0, (1,))
-    with pytest.raises(ValueError):
-        AbelianGroup(0, (4, 2))  # not a chain
+    for args, message in [
+        ((-1,), "free rank must be nonnegative, got -1"),
+        ((0, (1,)), "torsion orders must be >= 2, got 1"),
+        ((0, (2, 2, 0)), "torsion orders must be >= 2, got 0"),
+        ((0, (4, 2)), "torsion orders must form a divisibility chain: (4, 2)"),
+        ((0, (2, 2, 3, 3)), "torsion orders must form a divisibility chain: (2, 2, 3, 3)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            AbelianGroup(*args)
+        assert str(exc.value) == message
 
 
 def test_group_direct_sum():
@@ -139,6 +143,34 @@ def test_group_to_dict():
         "torsion": [2],
         "pretty": "Z x Z2",
     }
+    assert AbelianGroup.cyclic(2, 2).direct_sum(AbelianGroup.cyclic(6)).to_dict() == {
+        "free_rank": 0,
+        "torsion": [2, 2, 6],
+        "pretty": "Z2^2 x Z6",
+    }
+    assert TRIVIAL_GROUP.to_dict() == {"free_rank": 0, "torsion": [], "pretty": "0"}
+
+
+def test_group_runs_of_invariant_factors():
+    group = AbelianGroup(3, (2, 2, 6, 6, 6, 12))
+    assert group.runs == ((2, 2), (6, 3), (12, 1))
+    assert group.torsion == (2, 2, 6, 6, 6, 12)
+    assert str(group) == "Z^3 x Z2^2 x Z6^3 x Z12"
+    assert AbelianGroup(0, (2, 2, 2)) == AbelianGroup.cyclic(2, 3)
+    assert hash(AbelianGroup(0, (5,) * 4)) == hash(AbelianGroup.cyclic(-5, 4))
+    assert AbelianGroup(0, (2, 2)) != AbelianGroup(0, (2, 4))
+    assert AbelianGroup.cyclic(7, 0) == TRIVIAL_GROUP
+
+
+def test_huge_cyclic_power_is_one_run():
+    # 10**12 summands as one (order, multiplicity) pair: built, compared
+    # and printed without expanding.
+    group = AbelianGroup.cyclic(2, 10**12)
+    assert group.runs == ((2, 10**12),)
+    assert str(group) == "Z2^1000000000000"
+    assert group == AbelianGroup.cyclic(-2, 10**12)
+    assert group != AbelianGroup.cyclic(2, 10**12 + 1)
+    assert not group.is_trivial and not group.is_torsion_free
 
 
 def test_zero_length_complex():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evansk import (
     IntMatrix,
@@ -10,6 +11,8 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
+
+from oracles import commutation_witnesses
 
 
 def test_monoid_spec_is_valid():
@@ -30,6 +33,27 @@ def test_non_commuting_pair_reported_with_witness():
     lhs = spec.adjacency[i - 1] @ spec.adjacency[j - 1]
     rhs = spec.adjacency[j - 1] @ spec.adjacency[i - 1]
     assert lhs[r, c] != rhs[r, c]
+    assert v.where == (1, 2, 0, 1)
+    assert v.message == ("adjacency matrices 1 and 2 do not commute: "
+                         "products differ at (0,1): 2 vs 0")
+
+
+def test_one_vertex_violations_and_messages():
+    spec = monoid_spec([3, -1, 0, 2])
+    assert [(v.kind, v.where, v.message) for v in validate(spec).violations] == [
+        ("negative_entry", (2, 0, 0), "adjacency matrix 2 has negative entry -1 at (0,0)"),
+        ("zero_row", (3, 0), "not source-free at vertex 'v': row 0 of adjacency matrix 3 is zero"),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-1, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+    min_size=1, max_size=4)))
+def test_commutation_witnesses_match_dense_products(mats):
+    found = [v.where for v in validate(spec_from_matrices(mats)).violations
+             if v.kind == "non_commuting"]
+    assert found == commutation_witnesses(mats)
 
 
 def test_zero_row_reported_at_vertex():

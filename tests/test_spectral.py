@@ -1,5 +1,5 @@
 import itertools
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from evansk import (
     TRIVIAL_GROUP,
     AbelianGroup,
+    Analysis,
     IntMatrix,
     SpecValidationError,
     VerdictKind,
@@ -22,10 +23,11 @@ from evansk import (
     spec_from_matrices,
 )
 from evansk import spectral
+from evansk.spectral import verdict_from_homology
 from evansk.corpus import random_polynomial_documents
 
 from oracles import adjugate, det_cofactor
-from strategies import specs
+from strategies import specs, wide_monoid_specs
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
@@ -297,3 +299,30 @@ def test_rank_30_vanishing_builds_no_complex(ms, rule, monkeypatch):
     v = k_theory_verdict(monoid_spec(ms))
     assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, rule)
     assert v.e2.columns == (TRIVIAL_GROUP,) * 31
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_monoid_specs)
+def test_one_vertex_closed_form_matches_snf_property(spec):
+    # The production page (proof or Künneth closed form, no complex) against
+    # Smith normal form of the pattern-built complex.
+    analysis = Analysis(spec)
+    hs = tuple(homology(build_complex(spec)))
+    assert not analysis.needs_complex
+    assert analysis.homology == hs
+    bs = coadjacencies(spec)
+    assert analysis.verdict == verdict_from_homology(bs, [b.det() for b in bs], hs)
+
+
+@pytest.mark.parametrize("ms, rule, column", [
+    ([3] * 30, "R8", lambda p: AbelianGroup.cyclic(2, comb(29, p))),  # g = 2
+    ([1] * 30, "R2", lambda p: AbelianGroup.free(comb(30, p))),  # the torus
+])
+def test_rank_30_one_vertex_page_builds_no_complex(ms, rule, column, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-vertex page comes from the closed form")
+
+    monkeypatch.setattr(spectral, "build_complex", refuse)
+    v = k_theory_verdict(monoid_spec(ms))
+    assert v.rule == rule
+    assert v.e2.columns == tuple(column(p) for p in range(31))
