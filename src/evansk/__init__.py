@@ -12,10 +12,7 @@ from .complexes import (
     ChainComplexError,
     build_complex,
     build_differential_direct,
-    build_differential_recursive,
     differential_product_witness,
-    tensor_monoid_complex,
-    tensor_two,
 )
 from .documents import (
     DocumentError,
@@ -47,7 +44,6 @@ from .kgraph import (
     coadjacencies,
     coadjacency,
     monoid_spec,
-    permute_coordinates,
     spec_from_matrices,
     validate,
 )
@@ -60,7 +56,6 @@ from .spectral import (
     e2_page,
     k_theory_verdict,
     monoid_closed_form,
-    monoid_gcd,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +83,6 @@ __all__ = [
     "boundary_pattern",
     "build_complex",
     "build_differential_direct",
-    "build_differential_recursive",
     "coadjacencies",
     "coadjacency",
     "delete_coordinate",
@@ -107,13 +101,9 @@ __all__ = [
     "loads_document",
     "loads_documents",
     "monoid_closed_form",
-    "monoid_gcd",
     "monoid_spec",
-    "permute_coordinates",
     "rank_from_divisors",
     "smith_normal_form",
     "spec_from_matrices",
-    "tensor_monoid_complex",
-    "tensor_two",
     "validate",
 ]

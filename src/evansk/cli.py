@@ -13,7 +13,10 @@ Subcommands::
 ``--format text|json`` selects the output form; ``--out PATH`` redirects
 it to a file.  The JSON report has the same schema for every subcommand,
 with unused sections null.  Exit status: 0 success, 1 validation failure,
-2 parse/structural/usage error, 141 when the reader closes stdout early.
+2 parse/structural/usage error or an input over a size limit (a dense
+boundary over ``MAX_BOUNDARY_CELLS`` cells, a JSON page over
+``MAX_REPORT_TORSION`` torsion entries), 141 when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
@@ -27,11 +30,22 @@ import sys
 import time
 from pathlib import Path
 
+from .complexes import ComplexTooLargeError
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .kgraph import StructuralError
 from .render import render_differential
 from .spectral import Analysis, e2_page
+
+
+#: The most torsion entries a JSON report lists per page; a text report
+#: prints each run of equal orders as one power and has no limit.
+MAX_REPORT_TORSION = 10**6
+
+
+def torsion_entries(groups) -> int:
+    """Torsion entries of ``groups`` once expanded, as a JSON report lists them."""
+    return sum(m for g in groups for _, m in g.runs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
               open(os.devnull, "w") as devnull):  # quiet the flush at exit too
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE: what a shell reports for a C tool in the same pipe
-    except (DocumentError, StructuralError, CorpusError, OSError) as exc:
+    except (DocumentError, StructuralError, CorpusError, ComplexTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -189,6 +203,12 @@ def _make_command(command: str):
             timings["homology"] = time.perf_counter() - t1
             page = e2_page(groups, k)
             if args.format == "json":  # a text report never expands the torsion
+                entries = torsion_entries(groups)
+                if entries > MAX_REPORT_TORSION:
+                    print(f"error: the JSON report would list {entries} torsion entries "
+                          f"per page, over the limit of {MAX_REPORT_TORSION}; "
+                          "--format text prints them as powers", file=sys.stderr)
+                    return 2
                 out["homology"] = [g.to_dict() for g in groups]
                 out["e2"] = page.to_dict()
             if command == "homology":

@@ -20,15 +20,11 @@ where the top block row is empty for p = 1, the right block column is
 empty for p = j, the base case is d[1, 1] = B_1, and the signed block is
 B_j repeated once per tuple ending in j (dropping the trailing j maps
 those tuples onto the degree ``p - 1`` tuples avoiding j, in order, so
-the block is literally block-diagonal).
-
-:func:`build_differential_recursive` builds that recursion; it stays off
-the build path as an independent cross-check of the pattern.
-
-Single-vertex complexes are also isomorphic to an iterated tensor of the
-two-term complexes ``0 -> Z -(B_j)-> Z -> 0``; :func:`tensor_two` and
-:func:`tensor_monoid_complex` build that route so homology can be
-compared against the block construction.
+the block is literally block-diagonal).  The pattern satisfies this
+recursion entry for entry; the test suite builds the recursion, and the
+iterated tensor of the two-term complexes ``0 -> Z -(B_j)-> Z -> 0`` for
+one vertex, independently and compares them with every boundary built
+here.
 """
 
 from __future__ import annotations
@@ -40,6 +36,14 @@ from collections.abc import Sequence
 from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, coadjacencies, require_valid
+
+
+#: The most cells a dense boundary may have; :func:`build_complex` refuses more.
+MAX_BOUNDARY_CELLS = 10**7
+
+
+class ComplexTooLargeError(ValueError):
+    """The dense boundaries would exceed :data:`MAX_BOUNDARY_CELLS`."""
 
 
 class ChainComplexError(ValueError):
@@ -82,19 +86,11 @@ class ChainComplex:
             if b.shape() != want:
                 raise ValueError(f"boundary {p} has shape {b.shape()}, expected {want}")
 
-    def rank(self, p: int) -> int:
-        return self.ranks[p] if 0 <= p <= self.length else 0
-
     def boundary(self, p: int) -> IntMatrix:
-        """The degree-``p`` boundary, with the maps into and out of the
-        zero modules at the ends materialized as empty matrices."""
-        if 1 <= p <= self.length:
-            return self.boundaries[p - 1]
-        if p == 0:
-            return IntMatrix.zeros(0, self.ranks[0])
-        if p == self.length + 1:
-            return IntMatrix.zeros(self.ranks[self.length], 0)
-        raise ValueError(f"degree {p} out of range 0..{self.length + 1}")
+        """The degree-``p`` boundary, ``1 <= p <= length``."""
+        if not 1 <= p <= self.length:
+            raise ValueError(f"degree {p} out of range 1..{self.length}")
+        return self.boundaries[p - 1]
 
     def labels(self, p: int) -> list[str]:
         """The degree-``p`` coordinates as printed: ``(1,3):v`` or ``*:v``."""
@@ -127,31 +123,9 @@ def _from_pattern(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
     return IntMatrix._raw(rows, cols, tuple(map(tuple, data)))
 
 
-def _recursive_from_blocks(
-    bs: Sequence[IntMatrix], n: int, j: int, p: int,
-    cache: dict[tuple[int, int], IntMatrix],
-) -> IntMatrix:
-    # Subtrees repeat within a degree (d[j-2, p-1] sits under both
-    # halves) and across degrees; the cache shares them.
-    hit = cache.get((j, p))
-    if hit is not None:
-        return hit
-    if j == 1:
-        return bs[0]  # p == 1 is forced here
-    if p >= 2:
-        top = _recursive_from_blocks(bs, n, j - 1, p - 1, cache)
-    else:
-        top = IntMatrix.zeros(0, comb(j - 1, p - 1) * n)
-    if p <= j - 1:
-        bottom_right = _recursive_from_blocks(bs, n, j - 1, p, cache)
-    else:
-        bottom_right = IntMatrix.zeros(comb(j - 1, p - 1) * n, 0)
-    copies = comb(j - 1, p - 1)
-    signed = bs[j - 1] if p % 2 == 1 else -bs[j - 1]
-    diagonal = IntMatrix.block_diagonal([signed] * copies)
-    zero = IntMatrix.zeros(top.rows, bottom_right.cols)
-    cache[(j, p)] = result = IntMatrix.block([[top, zero], [diagonal, bottom_right]])
-    return result
+def boundary_cells(k: int, n: int) -> int:
+    """Cells of the largest dense boundary of a rank-``k`` complex on ``n`` vertices."""
+    return max(comb(k, p - 1) * comb(k, p) for p in range(1, k + 1)) * n * n
 
 
 def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
@@ -165,16 +139,6 @@ def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
     return _from_pattern(coadjacencies(spec), spec.num_vertices, spec.rank, p)
 
 
-def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
-    """The boundaries ``d_1..d_k`` by the block recursion on the top
-    coordinate, with one ``(j, p)`` cache shared by every degree."""
-    bs, cache = coadjacencies(spec), {}
-    return tuple(
-        _recursive_from_blocks(bs, spec.num_vertices, spec.rank, p, cache)
-        for p in range(1, spec.rank + 1)
-    )
-
-
 def build_complex(spec: KGraphSpec, *,
                   bs: tuple[IntMatrix, ...] | None = None) -> ChainComplex:
     """The full Evans chain complex of a validated spec.
@@ -186,54 +150,24 @@ def build_complex(spec: KGraphSpec, *,
     loudly at build time.  The complex carries the ``B_i`` it was built
     from.  A caller that has already validated the spec passes its
     co-adjacency matrices as ``bs``; they are then used as given, and the
-    spec is not validated again.
+    spec is not validated again.  A complex whose largest boundary would
+    have more than :data:`MAX_BOUNDARY_CELLS` cells raises
+    :class:`ComplexTooLargeError` before anything is assembled.
     """
     if bs is None:
         require_valid(spec)
         bs = coadjacencies(spec)
     k, n = spec.rank, spec.num_vertices
+    cells = boundary_cells(k, n)
+    if cells > MAX_BOUNDARY_CELLS:
+        raise ComplexTooLargeError(
+            f"the largest boundary would have {cells} dense cells, "
+            f"over the limit of {MAX_BOUNDARY_CELLS}"
+        )
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
     cc = ChainComplex(k, ranks, boundaries, spec.vertices, bs)
     witness = differential_product_witness(cc)
     if witness is not None:
         raise ChainComplexError(*witness)
-    return cc
-
-
-def tensor_two(a: ChainComplex, entry: int) -> ChainComplex:
-    """Tensor a complex with the two-term complex ``0 -> Z -(entry)-> Z -> 0``.
-
-    Degree ``p`` of the result is ``A_p (x) C_0  (+)  A_{p-1} (x) C_1``, in
-    that order, so the boundary is the block matrix
-
-    .. code-block:: text
-
-        | d_p^A    (-1)^(p-1) entry * I |
-        | 0        d_{p-1}^A            |
-
-    with the Koszul sign on the second summand.
-    """
-    k = a.length + 1
-    ranks = tuple(a.rank(p) + a.rank(p - 1) for p in range(k + 1))
-    boundaries = []
-    for p in range(1, k + 1):
-        sign = 1 if (p - 1) % 2 == 0 else -1
-        koszul = IntMatrix.identity(a.rank(p - 1)).scaled(sign * entry)
-        grid = [
-            [a.boundary(p), koszul],
-            [IntMatrix.zeros(a.rank(p - 2), a.rank(p)), a.boundary(p - 1)],
-        ]
-        boundaries.append(IntMatrix.block(grid))
-    return ChainComplex(k, ranks, tuple(boundaries))
-
-
-def tensor_monoid_complex(b_values: Sequence[int]) -> ChainComplex:
-    """Left-associated iterated tensor of the two-term complexes with the
-    given scalars, one per coordinate."""
-    if not b_values:
-        raise ValueError("at least one scalar is required")
-    cc = ChainComplex(1, (1, 1), (IntMatrix(1, 1, [[b_values[0]]]),))
-    for b in b_values[1:]:
-        cc = tensor_two(cc, b)
     return cc

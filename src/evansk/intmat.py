@@ -71,16 +71,6 @@ class IntMatrix:
         # Internal: one fresh dict per row, column -> nonzero entry.
         return [{c: x for c, x in enumerate(r) if x} for r in self._data]
 
-    def transpose(self) -> IntMatrix:
-        if self.rows == 0:
-            return IntMatrix._raw(self.cols, 0, ((),) * self.cols)
-        return IntMatrix._raw(self.cols, self.rows, tuple(zip(*self._data)))
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix._raw(
-            self.rows, self.cols, tuple(tuple(-x for x in r) for r in self._data)
-        )
-
     def scaled(self, c: int) -> IntMatrix:
         return IntMatrix._raw(
             self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self._data)
@@ -91,13 +81,6 @@ class IntMatrix:
         return IntMatrix._raw(
             self.rows, self.cols,
             tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self._data, other._data)),
-        )
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        self._check_same_shape(other)
-        return IntMatrix._raw(
-            self.rows, self.cols,
-            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self._data, other._data)),
         )
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
@@ -112,9 +95,6 @@ class IntMatrix:
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
 
     def _check_same_shape(self, other: IntMatrix) -> None:
         if self.shape() != other.shape():
@@ -158,49 +138,3 @@ class IntMatrix:
                     ai[j] = (ai[j] * piv - lead * at[j]) // prev
             prev = piv
         return sign * a[n - 1][n - 1]
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
-        """Assemble a block matrix from a rectangular grid of blocks.
-
-        Blocks in a grid row must share their height, blocks in a grid
-        column their width.  Zero-height and zero-width blocks are fine;
-        they contribute nothing but keep degenerate layouts uniform.
-        """
-        if not grid:
-            return cls.zeros(0, 0)
-        ncols_blocks = len(grid[0])
-        for grow in grid:
-            if len(grow) != ncols_blocks:
-                raise ValueError("block grid must be rectangular")
-        for bj in range(ncols_blocks):
-            w = grid[0][bj].cols
-            for grow in grid:
-                if grow[bj].cols != w:
-                    raise ValueError(f"inconsistent widths in block column {bj}")
-        data: list[tuple[int, ...]] = []
-        for grow in grid:
-            h = grow[0].rows
-            for bl in grow:
-                if bl.rows != h:
-                    raise ValueError("inconsistent heights in block row")
-            for r in range(h):
-                line: tuple[int, ...] = ()
-                for bl in grow:
-                    line += bl._data[r]
-                data.append(line)
-        total_cols = sum(grid[0][bj].cols for bj in range(ncols_blocks))
-        return cls._raw(len(data), total_cols, tuple(data))
-
-    @classmethod
-    def block_diagonal(cls, blocks: Sequence[IntMatrix]) -> IntMatrix:
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        data = []
-        c0 = 0
-        for b in blocks:
-            right = cols - c0 - b.cols
-            for i in range(b.rows):
-                data.append((0,) * c0 + b._data[i] + (0,) * right)
-            c0 += b.cols
-        return cls._raw(rows, cols, tuple(data))

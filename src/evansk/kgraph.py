@@ -185,14 +185,3 @@ def coadjacency(spec: KGraphSpec, i: int) -> IntMatrix:
 
 def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
     return tuple(coadjacency(spec, i) for i in range(1, spec.rank + 1))
-
-
-def permute_coordinates(spec: KGraphSpec, sigma: Sequence[int]) -> KGraphSpec:
-    """Reorder coordinates: the new coordinate ``i`` is the old ``sigma[i-1]``."""
-    if sorted(sigma) != list(range(1, spec.rank + 1)):
-        raise ValueError(f"not a permutation of 1..{spec.rank}: {list(sigma)!r}")
-    return KGraphSpec(
-        rank=spec.rank,
-        vertices=spec.vertices,
-        adjacency=tuple(spec.adjacency[s - 1] for s in sigma),
-    )

@@ -25,27 +25,27 @@ groups); they are flagged as derived in the justification text rather
 than quoted closed forms.  R4's extension problem is genuinely open: the
 candidate middle groups are listed as commentary only.
 
-:class:`Analysis` is the pipeline behind every verdict.  Its homology
-stage tries three routes in order:
+:class:`Analysis` is the pipeline behind every verdict.  One number
+drives it: ``D = gcd(det B_1, ..., det B_k)`` (a zero determinant counts
+as in ``gcd(0, x) = |x|``), its ``annihilator`` stage.  By the
+Koszul-complex argument of Evans, "On the K-theory of higher rank graph
+C*-algebras", NYJM 14 (2008), ``D`` annihilates every ``H_p``: the
+adjugate ``adj(B_i)`` is an integer polynomial in ``B_i``, so it commutes
+with every ``B_j``, and ``h = adj(B_i)`` placed on the transposed signed
+deletions of coordinate ``i`` satisfies ``d h + h d = det(B_i) * 1`` in
+every degree.  The homology stage then takes the first route that
+applies:
 
-1. ``gcd(det B_1, ..., det B_k) = 1`` (a zero determinant counts as in
-   ``gcd(0, x) = |x|``) proves every group zero.  The argument is the
-   Koszul-complex one of Evans, "On the K-theory of higher rank graph
-   C*-algebras", NYJM 14 (2008): the adjugate ``adj(B_i)`` is an integer
-   polynomial in ``B_i``, so it commutes with every ``B_j``, and
-   ``h = adj(B_i)`` placed on the transposed signed deletions of
-   coordinate ``i`` satisfies ``d h + h d = det(B_i) * 1`` in every
-   degree.  So each ``det(B_i)`` annihilates every ``H_p``, and so does
-   their gcd.
-2. A one-vertex spec is the tensor product of the two-term complexes
-   ``Z --B_i--> Z``, so the Künneth theorem gives every group from the
-   gcd ``g`` of the scalars: ``H_p = (Z_g)^C(k-1, p)`` when ``g != 0``
-   (:func:`monoid_closed_form`) and ``H_p = Z^C(k, p)``, the torus, when
-   every scalar is 0.
+1. ``D = 1`` proves every group zero.
+2. A one-vertex spec has ``det B_i = B_i``, so ``D`` is the gcd ``g`` of
+   the scalars, and the spec is the tensor product of the two-term
+   complexes ``Z --B_i--> Z``.  The Künneth theorem gives every group
+   from ``g`` alone (:func:`monoid_closed_form`).
 3. Otherwise the complex is built and its boundaries go through Smith
    normal form.
 
-Only the third route builds a complex.
+Only the third route builds a complex.  Rules R2-R4 take ``g`` as the
+same gcd of the determinants.
 """
 
 from __future__ import annotations
@@ -119,23 +119,17 @@ class KTheoryVerdict:
         }
 
 
-def monoid_gcd(b_values: Sequence[int]) -> int:
-    """gcd of the scalars, zeros neutral (gcd(a, 0) = |a|)."""
-    return gcd(*(abs(b) for b in b_values)) if len(b_values) > 1 else abs(b_values[0])
-
-
 def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
-    """Homology of a one-vertex complex from the gcd alone.
+    """Homology of a one-vertex complex from the gcd ``g`` of its scalars.
 
-    Degree ``p`` is ``(Z_g)^C(k-1, p)`` with ``g`` the gcd of the scalars;
-    a unit gcd makes every group trivial.  The all-zero case is the torus,
-    whose homology ``Z^C(k, p)`` is free; it raises here, and
-    :attr:`Analysis.homology` answers it directly.
+    Degree ``p`` is ``(Z_g)^C(k-1, p)`` when ``g != 0``, so a unit gcd
+    makes every group trivial; when every scalar is 0 the complex is the
+    torus's, with free homology ``Z^C(k, p)``.
     """
-    if all(b == 0 for b in b_values):
-        raise ValueError("all scalars are zero; the closed form requires some B_i != 0")
     k = len(b_values)
-    g = monoid_gcd(b_values)
+    g = gcd(*b_values)
+    if g == 0:
+        return [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
     # C(k-1, p) = C(k-1, k-1-p), so one group object serves both degrees.
     groups = {m: AbelianGroup.cyclic(g, m) for m in {comb(k - 1, p) for p in range(k)}}
     return [groups[comb(k - 1, p)] for p in range(k)] + [TRIVIAL_GROUP]
@@ -178,14 +172,14 @@ class Analysis:
     """One spec's way to a verdict, in stages that each run at most once
     and only when something reads them:
 
-    ``validation -> coadjacencies -> determinants -> homology -> verdict``
+    ``validation -> coadjacencies -> determinants -> annihilator -> homology -> verdict``
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
     ``homology`` stage takes the first route that applies (see the module
-    notes): ``vanishes``, then the one-vertex Künneth closed form, then
-    the ``complex`` stage and Smith normal form.  ``needs_complex`` says
-    whether it reaches the last.
+    notes): the trivial page when ``annihilator == 1``, then the
+    one-vertex Künneth closed form, then the ``complex`` stage and Smith
+    normal form.  ``needs_complex`` says whether it reaches the last.
     """
 
     def __init__(self, spec: KGraphSpec):
@@ -206,14 +200,14 @@ class Analysis:
         return tuple(b.det() for b in self.coadjacencies)
 
     @_stage
-    def vanishes(self) -> bool:
-        """Whether ``gcd(det B_i) = 1``, which makes every ``H_p`` zero."""
-        return gcd(*self.determinants) == 1
+    def annihilator(self) -> int:
+        """``gcd(det B_i)``, which annihilates every ``H_p``."""
+        return gcd(*self.determinants)
 
     @_stage
     def needs_complex(self) -> bool:
         """Whether the ``homology`` stage builds the complex."""
-        return not self.vanishes and not self.spec.is_monoid
+        return self.annihilator != 1 and not self.spec.is_monoid
 
     @_stage
     def complex(self) -> ChainComplex:
@@ -221,15 +215,11 @@ class Analysis:
 
     @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:
-        k = self.spec.rank
-        if self.vanishes:
-            return _trivial_page(k)
+        if self.annihilator == 1:
+            return _trivial_page(self.spec.rank)
         if self.needs_complex:
             return tuple(homology(self.complex, check=False))
-        scalars = [b[0, 0] for b in self.coadjacencies]  # one vertex: Künneth
-        if any(scalars):
-            return tuple(monoid_closed_form(scalars))
-        return tuple(AbelianGroup.free(comb(k, p)) for p in range(k + 1))
+        return tuple(monoid_closed_form(self.determinants))  # one vertex: det B_i = B_i
 
     @_stage
     def verdict(self) -> KTheoryVerdict:
@@ -265,9 +255,9 @@ def verdict_from_homology(bs: Sequence[IntMatrix], determinants: Sequence[int],
                 ),
             )
 
-    if bs[0].rows == 1:  # one vertex
-        scalars = [b[0, 0] for b in bs]
-        if all(s == 0 for s in scalars):
+    if bs[0].rows == 1:  # one vertex: det B_i = B_i, so g is the gcd of the scalars
+        g = gcd(*determinants)
+        if g == 0:
             size = 2 ** (k - 1)
             return KTheoryVerdict(
                 kind=VerdictKind.DETERMINED, rule="R2", e2=page,
@@ -277,7 +267,6 @@ def verdict_from_homology(bs: Sequence[IntMatrix], determinants: Sequence[int],
                     f"k-torus algebra, K0 = K1 = Z^{size}"
                 ),
             )
-        g = monoid_gcd(scalars)
         if g == 1:
             return KTheoryVerdict(
                 kind=VerdictKind.TRIVIAL, rule="R3", e2=page,

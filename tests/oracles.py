@@ -3,17 +3,171 @@
 Deliberately naive implementations: cofactor-expansion determinants and
 adjugates, divisor chains from gcds of minors, the ``d o d`` witness
 from dense products, and unimodular matrices assembled from elementary
-operations with the inverse tracked alongside.  Nothing here calls into the
-library's elimination code, so these stay valid as cross-checks no
-matter how the library evolves.
+operations with the inverse tracked alongside.  Two routes to the Evans
+complex itself live here too: the paper's block recursion on the top
+coordinate, and, for one vertex, the iterated tensor of the two-term
+complexes ``0 -> Z -(B_j)-> Z -> 0``, both assembled from dense blocks.
+Nothing here calls into the library's elimination code or its
+signed-deletion pattern, so these stay valid as cross-checks no matter
+how the library evolves.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from collections.abc import Sequence
+from math import comb, gcd
 
-from evansk import IntMatrix
+from evansk import ChainComplex, IntMatrix, KGraphSpec, coadjacencies
+
+
+def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
+    """Assemble a block matrix from a rectangular grid of blocks.
+
+    Blocks in a grid row must share their height, blocks in a grid
+    column their width.  Zero-height and zero-width blocks are fine;
+    they contribute nothing but keep degenerate layouts uniform.
+    """
+    if not grid:
+        return IntMatrix.zeros(0, 0)
+    ncols_blocks = len(grid[0])
+    for grow in grid:
+        if len(grow) != ncols_blocks:
+            raise ValueError("block grid must be rectangular")
+    for bj in range(ncols_blocks):
+        w = grid[0][bj].cols
+        for grow in grid:
+            if grow[bj].cols != w:
+                raise ValueError(f"inconsistent widths in block column {bj}")
+    data: list[tuple[int, ...]] = []
+    for grow in grid:
+        h = grow[0].rows
+        for bl in grow:
+            if bl.rows != h:
+                raise ValueError("inconsistent heights in block row")
+        for r in range(h):
+            line: tuple[int, ...] = ()
+            for bl in grow:
+                line += bl.row(r)
+            data.append(line)
+    total_cols = sum(grid[0][bj].cols for bj in range(ncols_blocks))
+    return IntMatrix(len(data), total_cols, data)
+
+
+def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    data = []
+    c0 = 0
+    for b in blocks:
+        right = cols - c0 - b.cols
+        for i in range(b.rows):
+            data.append((0,) * c0 + b.row(i) + (0,) * right)
+        c0 += b.cols
+    return IntMatrix(rows, cols, data)
+
+
+def _recursive_from_blocks(
+    bs: Sequence[IntMatrix], n: int, j: int, p: int,
+    cache: dict[tuple[int, int], IntMatrix],
+) -> IntMatrix:
+    # Subtrees repeat within a degree (d[j-2, p-1] sits under both
+    # halves) and across degrees; the cache shares them.
+    hit = cache.get((j, p))
+    if hit is not None:
+        return hit
+    if j == 1:
+        return bs[0]  # p == 1 is forced here
+    if p >= 2:
+        top = _recursive_from_blocks(bs, n, j - 1, p - 1, cache)
+    else:
+        top = IntMatrix.zeros(0, comb(j - 1, p - 1) * n)
+    if p <= j - 1:
+        bottom_right = _recursive_from_blocks(bs, n, j - 1, p, cache)
+    else:
+        bottom_right = IntMatrix.zeros(comb(j - 1, p - 1) * n, 0)
+    copies = comb(j - 1, p - 1)
+    signed = bs[j - 1] if p % 2 == 1 else bs[j - 1].scaled(-1)
+    diagonal = block_diagonal([signed] * copies)
+    zero = IntMatrix.zeros(top.rows, bottom_right.cols)
+    cache[(j, p)] = result = block([[top, zero], [diagonal, bottom_right]])
+    return result
+
+
+def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
+    """The boundaries ``d_1..d_k`` by the paper's block recursion on the
+    top coordinate, with one ``(j, p)`` cache shared by every degree."""
+    bs, cache = coadjacencies(spec), {}
+    return tuple(
+        _recursive_from_blocks(bs, spec.num_vertices, spec.rank, p, cache)
+        for p in range(1, spec.rank + 1)
+    )
+
+
+def rank(cc: ChainComplex, p: int) -> int:
+    """Rank of degree ``p``, zero outside ``0..length``."""
+    return cc.ranks[p] if 0 <= p <= cc.length else 0
+
+
+def boundary(cc: ChainComplex, p: int) -> IntMatrix:
+    """The degree-``p`` boundary, with the maps into and out of the
+    zero modules at the ends materialized as empty matrices."""
+    if 1 <= p <= cc.length:
+        return cc.boundary(p)
+    if p == 0:
+        return IntMatrix.zeros(0, cc.ranks[0])
+    if p == cc.length + 1:
+        return IntMatrix.zeros(cc.ranks[cc.length], 0)
+    raise ValueError(f"degree {p} out of range 0..{cc.length + 1}")
+
+
+def tensor_two(a: ChainComplex, entry: int) -> ChainComplex:
+    """Tensor a complex with the two-term complex ``0 -> Z -(entry)-> Z -> 0``.
+
+    Degree ``p`` of the result is ``A_p (x) C_0  (+)  A_{p-1} (x) C_1``, in
+    that order, so the boundary is the block matrix
+
+    .. code-block:: text
+
+        | d_p^A    (-1)^(p-1) entry * I |
+        | 0        d_{p-1}^A            |
+
+    with the Koszul sign on the second summand.
+    """
+    k = a.length + 1
+    ranks = tuple(rank(a, p) + rank(a, p - 1) for p in range(k + 1))
+    boundaries = []
+    for p in range(1, k + 1):
+        sign = 1 if (p - 1) % 2 == 0 else -1
+        koszul = IntMatrix.identity(rank(a, p - 1)).scaled(sign * entry)
+        grid = [
+            [boundary(a, p), koszul],
+            [IntMatrix.zeros(rank(a, p - 2), rank(a, p)), boundary(a, p - 1)],
+        ]
+        boundaries.append(block(grid))
+    return ChainComplex(k, ranks, tuple(boundaries))
+
+
+def tensor_monoid_complex(b_values: Sequence[int]) -> ChainComplex:
+    """Left-associated iterated tensor of the two-term complexes with the
+    given scalars, one per coordinate."""
+    if not b_values:
+        raise ValueError("at least one scalar is required")
+    cc = ChainComplex(1, (1, 1), (IntMatrix(1, 1, [[b_values[0]]]),))
+    for b in b_values[1:]:
+        cc = tensor_two(cc, b)
+    return cc
+
+
+def permute_coordinates(spec: KGraphSpec, sigma: Sequence[int]) -> KGraphSpec:
+    """Reorder coordinates: the new coordinate ``i`` is the old ``sigma[i-1]``."""
+    if sorted(sigma) != list(range(1, spec.rank + 1)):
+        raise ValueError(f"not a permutation of 1..{spec.rank}: {list(sigma)!r}")
+    return KGraphSpec(
+        rank=spec.rank,
+        vertices=spec.vertices,
+        adjacency=tuple(spec.adjacency[s - 1] for s in sigma),
+    )
 
 
 def det_cofactor(rows: list[list[int]]) -> int:

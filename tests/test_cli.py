@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import evansk
 from evansk import dumps_document, loads_documents
-from evansk.cli import main
-from evansk.complexes import build_complex
+from evansk import cli
+from evansk.cli import MAX_REPORT_TORSION, main, torsion_entries
+from evansk.complexes import MAX_BOUNDARY_CELLS, build_complex
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
-from evansk.homology import homology
+from evansk.homology import AbelianGroup, homology
 from evansk.intmat import IntMatrix
 from evansk.kgraph import SpecValidationError, coadjacencies, spec_from_matrices, validate
 from evansk.spectral import e2_page, k_theory_verdict
@@ -218,24 +219,76 @@ def test_closed_output_pipe_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
-def test_rank_30_gcd_2_text_verdict_in_bounded_memory(tmp_path):
-    # H_p = Z2^C(29, p) has 2^29 summands over the page; as runs of
-    # invariant factors the text verdict needs one per degree.
-    path = tmp_path / "rank30.json"
-    path.write_text(dumps_document(monoid_document([3] * 30)), encoding="utf-8")
+def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess that caps its own address space at 1 GB."""
     env = dict(os.environ)
     src = str(Path(evansk.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     limited = ("import resource, sys; "
                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                "from evansk.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", limited, "verdict", str(path)],
+    return subprocess.run([sys.executable, "-c", limited, *argv],
                           capture_output=True, text=True, env=env, timeout=20)
+
+
+def test_rank_30_gcd_2_text_verdict_in_bounded_memory(tmp_path):
+    # H_p = Z2^C(29, p) has 2^29 summands over the page; as runs of
+    # invariant factors the text verdict needs one per degree.
+    path = tmp_path / "rank30.json"
+    path.write_text(dumps_document(monoid_document([3] * 30)), encoding="utf-8")
+    proc = _run_limited(["verdict", str(path)])
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert lines[0] == "indeterminate; rule R8"
     columns = ["Z2"] + [f"Z2^{comb(29, p)}" for p in range(1, 29)] + ["Z2", "0"]
     assert lines[-1] == "E2 columns: " + ", ".join(columns)
+
+
+def test_rank_30_gcd_2_json_verdict_refused_in_bounded_memory(tmp_path):
+    # The JSON schema lists every torsion entry: 2^29 per page here.
+    path = tmp_path / "rank30.json"
+    path.write_text(dumps_document(monoid_document([3] * 30)), encoding="utf-8")
+    proc = _run_limited(["verdict", str(path), "--format", "json"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the JSON report would list {2 ** 29} torsion entries per page, "
+        f"over the limit of {MAX_REPORT_TORSION}; --format text prints them as powers\n"
+    )
+
+
+def test_rank_30_complex_refused_in_bounded_memory(tmp_path):
+    # Degree 15 alone would have C(30, 15) ~ 1.55e8 columns.
+    path = tmp_path / "rank30.json"
+    path.write_text(dumps_document(monoid_document([2] + [3] * 29)), encoding="utf-8")
+    proc = _run_limited(["complex", str(path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the largest boundary would have {comb(30, 14) * comb(30, 15)} dense "
+        f"cells, over the limit of {MAX_BOUNDARY_CELLS}\n"
+    )
+
+
+def test_torsion_entries_estimate():
+    page = k_theory_verdict(monoid_document([3] * 30).spec).e2.columns
+    assert torsion_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
+    assert torsion_entries([AbelianGroup(3, (2, 4, 4)), AbelianGroup.free(2)]) == 3
+    for doc in random_polynomial_documents(200, seed=1):
+        hs = homology(build_complex(doc.spec))
+        assert torsion_entries(hs) == sum(len(g.torsion) for g in hs) < 1000
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_torsion_limit_boundary(fmt, tmp_path, monkeypatch, capsys):
+    # [3, 5, 7] lists 4 torsion entries per page, [3, 5, 7, 9] lists 8.
+    monkeypatch.setattr(cli, "MAX_REPORT_TORSION", 4)
+    for ms, status in (([3, 5, 7], 0), ([3, 5, 7, 9], 2 if fmt == "json" else 0)):
+        path = tmp_path / "m.json"
+        path.write_text(dumps_document(monoid_document(ms)), encoding="utf-8")
+        for command in ("homology", "e2", "verdict"):
+            assert main([command, str(path), "--format", fmt]) == status
+            captured = capsys.readouterr()
+            assert (captured.out == "") == (status == 2)
+            assert captured.err.startswith("error: the JSON report would list 8 ") == (status == 2)
 
 
 def test_gen_to_file(tmp_path):

@@ -1,5 +1,8 @@
+import ast
 import itertools
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,19 +14,32 @@ from evansk import (
     SpecValidationError,
     build_complex,
     build_differential_direct,
-    build_differential_recursive,
     coadjacencies,
     differential_product_witness,
     enumerate_tuples,
     homology,
     monoid_spec,
     spec_from_matrices,
-    tensor_monoid_complex,
-    tensor_two,
+)
+from evansk.complexes import (
+    MAX_BOUNDARY_CELLS,
+    ComplexTooLargeError,
+    boundary_cells,
 )
 from evansk.corpus import random_polynomial_documents
 
-from oracles import dense_product_witness
+import oracles
+from oracles import (
+    boundary,
+    build_differential_recursive,
+    dense_product_witness,
+    tensor_monoid_complex,
+    tensor_two,
+)
+
+
+def is_zero(m: IntMatrix) -> bool:
+    return m == IntMatrix.zeros(m.rows, m.cols)
 
 
 def blocks_of(matrix, p, k, n=1):
@@ -113,14 +129,18 @@ def test_build_complex_carries_its_coadjacencies():
 
 
 def test_build_complex_assembles_without_block_matrices(monkeypatch):
+    # Dense block assembly lives only in the oracle module: the library's
+    # matrices have no block constructors, and the build never reaches
+    # the oracle's.
+    assert not hasattr(IntMatrix, "block") and not hasattr(IntMatrix, "block_diagonal")
     calls = []
-    block = IntMatrix.block.__func__
+    block = oracles.block
 
-    def counted(cls, grid):
+    def counted(grid):
         calls.append(grid)
-        return block(cls, grid)
+        return block(grid)
 
-    monkeypatch.setattr(IntMatrix, "block", classmethod(counted))
+    monkeypatch.setattr(oracles, "block", counted)
     for spec in (monoid_spec([2, 3, 4, 5]),
                  *(doc.spec for doc in random_polynomial_documents(5, seed=7))):
         build_complex(spec)
@@ -132,7 +152,7 @@ def test_build_complex_assembles_without_block_matrices(monkeypatch):
 def test_trivial_monoid_has_zero_boundaries():
     cc = build_complex(monoid_spec([1, 1, 1]))
     assert cc.ranks == (1, 3, 3, 1)
-    assert all(b.is_zero() for b in cc.boundaries)
+    assert all(is_zero(b) for b in cc.boundaries)
 
 
 def test_non_commuting_spec_refused():
@@ -147,7 +167,7 @@ def test_non_commuting_negative_control_breaks_complex_axiom():
     spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(spec, 1)
     d2 = build_differential_direct(spec, 2)
-    assert not (d1 @ d2).is_zero()
+    assert not is_zero(d1 @ d2)
 
 
 def test_chain_complex_shape_validation():
@@ -160,11 +180,17 @@ def test_chain_complex_shape_validation():
 
 
 def test_boundary_end_maps():
+    # The complex holds d_1..d_k only; the oracle materializes the zero
+    # maps at the ends, which the tensor route reads.
     cc = build_complex(monoid_spec([3, 5]))
-    assert cc.boundary(0).shape() == (0, 1)
-    assert cc.boundary(3).shape() == (1, 0)
+    assert boundary(cc, 0).shape() == (0, 1)
+    assert boundary(cc, 3).shape() == (1, 0)
+    assert boundary(cc, 1) == cc.boundary(1)
     with pytest.raises(ValueError):
-        cc.boundary(4)
+        boundary(cc, 4)
+    for p in (0, 3):
+        with pytest.raises(ValueError):
+            cc.boundary(p)
 
 
 def test_tensor_two_terms():
@@ -175,7 +201,7 @@ def test_tensor_two_terms():
 
 def test_tensor_zero_maps():
     cc = tensor_two(tensor_monoid_complex([0]), 0)
-    assert all(b.is_zero() for b in cc.boundaries)
+    assert all(is_zero(b) for b in cc.boundaries)
     groups = homology(cc)
     assert [g.free_rank for g in groups] == [1, 2, 1]
     assert all(g.is_torsion_free for g in groups)
@@ -258,3 +284,49 @@ def test_witness_matches_dense_scan_on_arbitrary_boundaries(cc):
     # Random boundaries rarely square to zero: the first (p, r, c, value)
     # in degree, then row-major, order must agree exactly.
     assert differential_product_witness(cc) == dense_product_witness(cc)
+
+
+def test_boundary_cells_estimate():
+    for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7):
+        cc = build_complex(monoid_spec(ms))
+        assert boundary_cells(len(ms), 1) == max(b.rows * b.cols for b in cc.boundaries)
+    for doc in random_polynomial_documents(10, seed=7):
+        cc = build_complex(doc.spec)
+        assert boundary_cells(cc.length, len(cc.vertices)) == max(
+            b.rows * b.cols for b in cc.boundaries)
+    # cyclic-large's largest boundary is 120 x 160; loop counts [2] + [3]*29
+    # would need C(30, 14) * C(30, 15) cells in degree 15.
+    assert boundary_cells(6, 8) == 120 * 160
+    assert boundary_cells(6, 8) * 500 < MAX_BOUNDARY_CELLS
+    assert boundary_cells(30, 1) == comb(30, 14) * comb(30, 15) > MAX_BOUNDARY_CELLS
+
+
+def test_build_complex_refuses_over_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing is assembled over budget")
+
+    monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
+    with pytest.raises(ComplexTooLargeError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
+        build_complex(monoid_spec([2] + [3] * 29))
+
+
+def test_oracles_stay_independent():
+    # The oracle routes share neither the production path's signed-deletion
+    # pattern nor its elimination code.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "evansk" in names and "evansk.IntMatrix" in names  # the walk sees imports
+    forbidden = {"boundary_pattern", "_from_pattern", "snf", "smith_normal_form",
+                 "elementary_divisors", "invariant_factors", "rank_from_divisors"}
+    found = {n for n in names if n.split(".")[-1] in forbidden or n.startswith("evansk.snf")}
+    assert found == set()

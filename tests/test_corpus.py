@@ -55,7 +55,7 @@ def test_companion_matrix_shape_and_charpoly():
     for coeffs in ([2], [1, 1], [0, 2], [1, 0, 1]):
         c = companion_matrix(coeffs)
         n = c.rows
-        assert (IntMatrix.identity(n) - c).det() == 1 - sum(coeffs)
+        assert (IntMatrix.identity(n) + c.scaled(-1)).det() == 1 - sum(coeffs)
 
 
 def test_zero_polynomial_rejected_with_witness():

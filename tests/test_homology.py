@@ -11,12 +11,11 @@ from evansk import (
     build_complex,
     homology,
     monoid_spec,
-    permute_coordinates,
     smith_normal_form,
     spec_from_matrices,
 )
 
-from oracles import random_unimodular
+from oracles import permute_coordinates, random_unimodular
 from strategies import specs
 
 

@@ -18,7 +18,6 @@ from evansk import (
     homology,
     k_theory_verdict,
     monoid_closed_form,
-    monoid_gcd,
     monoid_spec,
     spec_from_matrices,
 )
@@ -59,24 +58,26 @@ def test_trivial_monoid_rank2_page():
     assert [g.free_rank for g in page.columns] == [1, 2, 1]
 
 
-def test_monoid_gcd_conventions():
-    assert monoid_gcd([-2, -4, -6]) == 2
-    assert monoid_gcd([-4, 0]) == 4
-    assert monoid_gcd([0, 0, -6]) == 6
-    assert monoid_gcd([-5]) == 5
-
-
 def test_closed_form_examples():
+    # g is the gcd of the absolute values: negative scalars, a zero scalar
+    # (gcd(a, 0) = |a|) and a single scalar.
     assert monoid_closed_form([-2, -4, -6]) == [Z2, AbelianGroup(0, (2, 2)), Z2, TRIVIAL_GROUP]
     assert monoid_closed_form([-2, -3]) == [TRIVIAL_GROUP] * 3
     assert monoid_closed_form([-4, 0]) == [
         AbelianGroup.cyclic(4), AbelianGroup.cyclic(4), TRIVIAL_GROUP,
     ]
+    z6 = AbelianGroup.cyclic(6)
+    assert monoid_closed_form([0, 0, -6]) == [z6, AbelianGroup.cyclic(6, 2), z6, TRIVIAL_GROUP]
+    assert monoid_closed_form([-5]) == [AbelianGroup.cyclic(5), TRIVIAL_GROUP]
 
 
-def test_closed_form_rejects_all_zero():
-    with pytest.raises(ValueError):
-        monoid_closed_form([0, 0])
+def test_closed_form_all_zero_matches_snf():
+    # Every scalar 0 is the torus: free homology Z^C(k, p), as SNF of the
+    # pattern-built complex finds.
+    for k in range(1, 7):
+        expected = [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
+        assert monoid_closed_form([0] * k) == expected
+        assert homology(build_complex(monoid_spec([1] * k))) == expected
 
 
 def test_closed_form_matches_pipeline_on_mixed_zero():
@@ -96,11 +97,18 @@ def test_verdict_r2_trivial_monoid():
     v = k_theory_verdict(monoid_spec([1, 1, 1, 1]))
     assert (v.kind, v.rule) == (VerdictKind.DETERMINED, "R2")
     assert v.k0 == v.k1 == AbelianGroup.free(8)
+    v = k_theory_verdict(monoid_spec([1]))  # a single zero scalar: the circle
+    assert (v.rule, v.k0, v.k1) == ("R2", AbelianGroup.free(1), AbelianGroup.free(1))
 
 
 def test_verdict_r3_coprime_scalars():
     v = k_theory_verdict(monoid_spec([3, 4]))
     assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, "R3")
+    v = k_theory_verdict(monoid_spec([1, 3, 4]))  # B = (0, -2, -3): gcd(0, a) = |a|
+    assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, "R3")
+    # A single scalar's gcd is its absolute value: B = -5 is not coprime.
+    v = k_theory_verdict(monoid_spec([6]))
+    assert (v.rule, v.k0, v.k1) == ("R5", AbelianGroup.cyclic(5), TRIVIAL_GROUP)
 
 
 def test_verdict_r4_monoid_rank3():
@@ -111,6 +119,10 @@ def test_verdict_r4_monoid_rank3():
     assert v.k0 is None
     assert [str(g) for g in v.e2.columns] == ["Z2", "Z2^2", "Z2", "0"]
     assert "Z4" in v.commentary and "Z2^2" in v.commentary
+    v = k_theory_verdict(monoid_spec([1, 1, 7]))  # B = (0, 0, -6): g = 6
+    z6 = AbelianGroup.cyclic(6)
+    assert (v.rule, v.k1, v.ses) == ("R4", AbelianGroup.cyclic(6, 2), (z6, z6))
+    assert "g = 6" in v.justification
 
 
 def test_verdict_r5_rank1():
@@ -264,15 +276,30 @@ def test_adjugate_contracts_to_determinant_property(spec):
     for i, b in enumerate(cc.coadjacencies, start=1):
         rows = b.to_lists()
         det, adj = det_cofactor(rows), adjugate(rows)
-        h = [_contraction(boundary_pattern(p + 1, k), i, adj, cc.rank(p + 1), cc.rank(p))
+        h = [_contraction(boundary_pattern(p + 1, k), i, adj, cc.ranks[p + 1], cc.ranks[p])
              for p in range(k)]
         for p in range(k + 1):
-            total = IntMatrix.zeros(cc.rank(p), cc.rank(p))
+            total = IntMatrix.zeros(cc.ranks[p], cc.ranks[p])
             if p < k:
                 total = total + cc.boundary(p + 1) @ h[p]
             if p > 0:
                 total = total + h[p - 1] @ cc.boundary(p)
-            assert total == IntMatrix.identity(cc.rank(p)).scaled(det), (i, p)
+            assert total == IntMatrix.identity(cc.ranks[p]).scaled(det), (i, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs)
+def test_annihilator_kills_every_group_property(spec):
+    # D = gcd(det B_i) annihilates every H_p of the pattern-built complex:
+    # when D != 0 each group is finite and each torsion order divides D.
+    analysis = Analysis(spec)
+    bs = coadjacencies(spec)
+    assert analysis.annihilator == gcd(*(det_cofactor(b.to_lists()) for b in bs))
+    d = analysis.annihilator
+    for group in homology(build_complex(spec)):
+        if d:
+            assert group.free_rank == 0 and all(d % t == 0 for t in group.torsion)
+    assert analysis.needs_complex == (d != 1 and not spec.is_monoid)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
