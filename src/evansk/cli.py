@@ -13,10 +13,10 @@ Subcommands::
 ``--format text|json`` selects the output form; ``--out PATH`` redirects
 it to a file.  The JSON report has the same schema for every subcommand,
 with unused sections null.  Exit status: 0 success, 1 validation failure,
-2 parse/structural/usage error or an input over a size limit (a dense
-boundary over ``MAX_BOUNDARY_CELLS`` cells, a JSON page over
-``MAX_REPORT_TORSION`` torsion entries), 141 when the reader closes
-stdout early.
+2 parse/structural/usage error or an input over a size limit (a rank over
+``MAX_RANK``, a complex over ``MAX_BOUNDARY_CELLS`` cells per boundary or
+``MAX_PRODUCT_MADDS`` for its ``d o d`` check, a JSON page over
+``MAX_REPORT_TORSION`` torsion entries), 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations

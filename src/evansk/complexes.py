@@ -40,10 +40,12 @@ from .kgraph import KGraphSpec, coadjacencies, require_valid
 
 #: The most cells a dense boundary may have; :func:`build_complex` refuses more.
 MAX_BOUNDARY_CELLS = 10**7
+#: The most multiply-adds the ``d o d = 0`` check may take; :func:`build_complex` refuses more.
+MAX_PRODUCT_MADDS = 10**8
 
 
 class ComplexTooLargeError(ValueError):
-    """The dense boundaries would exceed :data:`MAX_BOUNDARY_CELLS`."""
+    """The dense boundaries, or their products, would exceed a size limit."""
 
 
 class ChainComplexError(ValueError):
@@ -66,7 +68,8 @@ class ChainComplex:
     ``boundaries[p-1]`` is the map from degree ``p`` to degree ``p - 1``
     and has shape ``ranks[p-1] x ranks[p]``.  ``vertices`` and
     ``coadjacencies``, when present, are the vertex labels and the ``B_i``
-    of the spec the complex was built from.
+    of the spec the complex was built from.  Construction checks the
+    shapes, then ``d o d = 0`` (:class:`ChainComplexError`).
     """
 
     length: int
@@ -85,6 +88,8 @@ class ChainComplex:
             want = (self.ranks[p - 1], self.ranks[p])
             if b.shape() != want:
                 raise ValueError(f"boundary {p} has shape {b.shape()}, expected {want}")
+        if (witness := differential_product_witness(self)) is not None:
+            raise ChainComplexError(*witness)
 
     def boundary(self, p: int) -> IntMatrix:
         """The degree-``p`` boundary, ``1 <= p <= length``."""
@@ -103,10 +108,9 @@ def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] 
     for p in range(1, cc.length):
         prod = cc.boundary(p) @ cc.boundary(p + 1)
         for r in range(prod.rows):
-            row = prod.row(r)
-            for c in range(prod.cols):
-                if row[c] != 0:
-                    return (p, r, c, row[c])
+            for c, x in enumerate(prod.row(r)):
+                if x:
+                    return (p, r, c, x)
     return None
 
 
@@ -144,14 +148,16 @@ def build_complex(spec: KGraphSpec, *,
     """The full Evans chain complex of a validated spec.
 
     The spec is validated first (commuting matrices are a hard
-    requirement: without them the boundaries do not square to zero), the
-    boundaries are filled in from the signed-deletion pattern, and
-    ``d o d = 0`` is checked eagerly so that any convention bug fails
-    loudly at build time.  The complex carries the ``B_i`` it was built
-    from.  A caller that has already validated the spec passes its
-    co-adjacency matrices as ``bs``; they are then used as given, and the
-    spec is not validated again.  A complex whose largest boundary would
-    have more than :data:`MAX_BOUNDARY_CELLS` cells raises
+    requirement: without them the boundaries do not square to zero), and
+    the boundaries are filled in from the signed-deletion pattern; the
+    :class:`ChainComplex` constructor then certifies ``d o d = 0``, so
+    any convention bug fails loudly at build time.  The complex carries
+    the ``B_i`` it was built from.  A caller that has already validated
+    the spec passes its co-adjacency matrices as ``bs``; they are then
+    used as given, and the spec is not validated again.  A complex whose
+    largest boundary would have more than :data:`MAX_BOUNDARY_CELLS`
+    cells, or whose products would take more than
+    :data:`MAX_PRODUCT_MADDS` multiply-adds, raises
     :class:`ComplexTooLargeError` before anything is assembled.
     """
     if bs is None:
@@ -165,9 +171,9 @@ def build_complex(spec: KGraphSpec, *,
             f"over the limit of {MAX_BOUNDARY_CELLS}"
         )
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
+    madds = sum(ranks[p - 1] * ranks[p] * ranks[p + 1] for p in range(1, k))
+    if madds > MAX_PRODUCT_MADDS:
+        raise ComplexTooLargeError(f"certifying d o d = 0 would take {madds} "
+                                   f"multiply-adds, over the limit of {MAX_PRODUCT_MADDS}")
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
-    cc = ChainComplex(k, ranks, boundaries, spec.vertices, bs)
-    witness = differential_product_witness(cc)
-    if witness is not None:
-        raise ChainComplexError(*witness)
-    return cc
+    return ChainComplex(k, ranks, boundaries, spec.vertices, bs)

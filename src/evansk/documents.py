@@ -64,7 +64,7 @@ def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocum
             for c, x in enumerate(row):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise DocumentError(f"{path} entry ({r},{c}) must be an integer")
-        mats.append(IntMatrix(n, n, rows))
+        mats.append(IntMatrix._raw(n, n, tuple(map(tuple, rows))))  # checked above
     try:
         spec = KGraphSpec(rank=k, vertices=tuple(vertices), adjacency=tuple(mats))
     except StructuralError as exc:

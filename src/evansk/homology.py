@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 
-from .complexes import ChainComplex, ChainComplexError, differential_product_witness
+from .complexes import ChainComplex
 from .snf import elementary_divisors, invariant_factors, rank_from_divisors
 
 
@@ -113,19 +113,14 @@ def _expand(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 TRIVIAL_GROUP = AbelianGroup()
 
 
-def homology(cc: ChainComplex, *, check: bool = True) -> list[AbelianGroup]:
+def homology(cc: ChainComplex) -> list[AbelianGroup]:
     """Homology groups in degrees ``0..length``, always from the
     elementary divisors of every boundary.
 
-    ``check`` re-verifies ``d o d = 0`` before computing; pass False only
-    when the complex was already verified at build time.  The verdict
+    ``cc`` squares to zero: its constructor certified that.  The verdict
     path (:class:`evansk.spectral.Analysis`) calls this only when the
     determinants of the ``B_i`` do not already prove every group zero.
     """
-    if check:
-        witness = differential_product_witness(cc)
-        if witness is not None:
-            raise ChainComplexError(*witness)
     divisors = [elementary_divisors(cc.boundary(p)) for p in range(1, cc.length + 1)]
     groups = []
     for p in range(cc.length + 1):

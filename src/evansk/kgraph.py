@@ -23,6 +23,10 @@ from collections.abc import Sequence
 from .intmat import IntMatrix
 
 
+#: The largest rank a spec may have (validation compares every pair of coordinates).
+MAX_RANK = 1000
+
+
 class StructuralError(ValueError):
     """Malformed presentation: shapes or counts are wrong."""
 
@@ -76,6 +80,8 @@ class KGraphSpec:
     def __post_init__(self):
         if self.rank < 1:
             raise StructuralError(f"rank must be >= 1, got {self.rank}")
+        if self.rank > MAX_RANK:
+            raise StructuralError(f"rank must be <= {MAX_RANK}, got {self.rank}")
         n = len(self.vertices)
         if n < 1:
             raise StructuralError("at least one vertex is required")

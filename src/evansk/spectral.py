@@ -50,7 +50,6 @@ same gcd of the determinants.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
@@ -130,9 +129,7 @@ def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
     g = gcd(*b_values)
     if g == 0:
         return [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
-    # C(k-1, p) = C(k-1, k-1-p), so one group object serves both degrees.
-    groups = {m: AbelianGroup.cyclic(g, m) for m in {comb(k - 1, p) for p in range(k)}}
-    return [groups[comb(k - 1, p)] for p in range(k)] + [TRIVIAL_GROUP]
+    return [AbelianGroup.cyclic(g, comb(k - 1, p)) for p in range(k)] + [TRIVIAL_GROUP]
 
 
 def _ses_middle_candidates(g: int) -> str:
@@ -143,12 +140,6 @@ def _ses_middle_candidates(g: int) -> str:
         if g % d == 0
     )
     return ", ".join(dict.fromkeys(names))
-
-
-@functools.cache
-def _trivial_page(k: int) -> tuple[AbelianGroup, ...]:
-    # One tuple per rank, shared by every verdict whose page vanishes.
-    return (TRIVIAL_GROUP,) * (k + 1)
 
 
 class _stage:
@@ -216,9 +207,9 @@ class Analysis:
     @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:
         if self.annihilator == 1:
-            return _trivial_page(self.spec.rank)
+            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
         if self.needs_complex:
-            return tuple(homology(self.complex, check=False))
+            return tuple(homology(self.complex))
         return tuple(monoid_closed_form(self.determinants))  # one vertex: det B_i = B_i
 
     @_stage

@@ -221,11 +221,11 @@ def minor_gcd_divisors(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-def dense_product_witness(cc) -> tuple[int, int, int, int] | None:
-    """First nonzero entry of any ``d_p @ d_(p+1)``, scanning each dense
-    product in row-major order."""
-    for p in range(1, cc.length):
-        prod = cc.boundary(p) @ cc.boundary(p + 1)
+def dense_product_witness(boundaries: Sequence[IntMatrix]) -> tuple[int, int, int, int] | None:
+    """First nonzero entry of any ``d_p @ d_(p+1)``, with ``d_p`` at
+    ``boundaries[p - 1]``, scanning each dense product in row-major order."""
+    for p in range(1, len(boundaries)):
+        prod = boundaries[p - 1] @ boundaries[p]
         for r in range(prod.rows):
             for c in range(prod.cols):
                 if prod[r, c] != 0:

@@ -29,6 +29,7 @@ from evansk import (
     AbelianGroup,
     Analysis,
     ChainComplex,
+    ChainComplexError,
     GraphDocument,
     IntMatrix,
     SpecValidationError,
@@ -37,7 +38,6 @@ from evansk import (
     build_complex,
     build_differential_direct,
     coadjacencies,
-    differential_product_witness,
     document_to_dict,
     homology,
     k_theory_verdict,
@@ -101,23 +101,25 @@ def monoid_sweep():
     for k in RANKS:
         for ms in itertools.product(M_VALUES, repeat=k):
             spec = monoid_spec(ms)
-            cc = build_complex(spec)  # validates and checks d o d = 0
+            cc = build_complex(spec)  # validates; the constructor certifies d o d = 0
             built += 1
             for p, d in enumerate(build_differential_recursive(spec), start=1):
                 if d != cc.boundary(p):
                     recursive_mismatches.append((ms, p))
             if not edge_shapes_ok(cc):
                 shape_failures.append(ms)
-            hs = tuple(homology(cc, check=False))
+            hs = tuple(homology(cc))
             if Analysis(spec).homology != hs:
                 analysis_failures.append(ms)
             if k <= PROOF_MAX_RANK:
                 pages[ms] = hs
-            tensor = tensor_monoid_complex([1 - m for m in ms])
-            if differential_product_witness(tensor) is not None:
+            try:
+                tensor = tensor_monoid_complex([1 - m for m in ms])
+            except ChainComplexError:
                 tensor_failures.append((ms, "tensor complex fails d o d = 0"))
-            elif tuple(homology(tensor, check=False)) != hs:
-                tensor_failures.append((ms, "tensor homology differs"))
+            else:
+                if tuple(homology(tensor)) != hs:
+                    tensor_failures.append((ms, "tensor homology differs"))
             expected = tuple(monoid_closed_form([1 - m for m in ms]))
             if hs != expected:
                 closed_failures.append((ms, hs, expected))
@@ -169,15 +171,17 @@ def test_criterion_01_differential_equivalence(monoid_sweep, poly_sweep):
 
 
 def test_criterion_02_complex_axiom(monoid_sweep, poly_sweep):
-    # Every corpus complex was built with the eager d o d = 0 check on.
+    # Every corpus complex was certified d o d = 0 by its constructor.
     assert monoid_sweep["built"] == MONOID_TOTAL
     assert poly_sweep["built"] == POLY_COUNT
     # Negative control: a non-commuting family breaks the axiom and is
-    # refused by the validating builder.
+    # refused by the constructor and by the validating builder.
     bad = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(bad, 1)
     d2 = build_differential_direct(bad, 2)
     assert d1 @ d2 != IntMatrix.zeros(d1.rows, d2.cols)
+    with pytest.raises(ChainComplexError):
+        ChainComplex(2, (2, 4, 2), (d1, d2))
     with pytest.raises(SpecValidationError):
         build_complex(bad)
     announce(2, f"d_p d_(p+1) = 0 on all {MONOID_TOTAL + POLY_COUNT} corpus "
@@ -257,7 +261,7 @@ def test_criterion_06_invertible_triviality():
     for doc in docs:
         bs = coadjacencies(doc.spec)
         assert any(b.det() in (1, -1) for b in bs), doc.name
-        groups = homology(build_complex(doc.spec), check=False)
+        groups = homology(build_complex(doc.spec))
         assert all(g.is_trivial for g in groups), doc.name
         verdict = k_theory_verdict(doc.spec)
         assert verdict.kind is VerdictKind.TRIVIAL, doc.name
@@ -270,7 +274,7 @@ def test_criterion_07_trivial_monoid():
 
     for k in RANKS:
         spec = monoid_spec([1] * k)
-        groups = homology(build_complex(spec), check=False)
+        groups = homology(build_complex(spec))
         assert groups == [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
         verdict = k_theory_verdict(spec)
         assert (verdict.kind, verdict.rule) == (VerdictKind.DETERMINED, "R2")
@@ -334,7 +338,7 @@ def test_criterion_11_basis_change_invariance():
         build_complex(spec_from_matrices([[[3, 0], [0, 3]], [[5, 0], [0, 5]]])),
         build_complex(spec_from_matrices([[[1, 2], [1, 2]], [[3, 6], [3, 6]]])),
     ]
-    baselines = [homology(cc, check=False) for cc in pool]
+    baselines = [homology(cc) for cc in pool]
     for trial in range(BASIS_TRIALS):
         cc = pool[trial % len(pool)]
         transforms = [random_unimodular(r, rng, ops=r + 5) for r in cc.ranks]
@@ -360,7 +364,7 @@ def test_proved_verdicts_match_computed_homology(monoid_sweep, tmp_path):
     cases = [(monoid_spec(ms), hs) for ms, hs in monoid_sweep["pages"].items()]
     for seed in PROOF_POLY_SEEDS:
         for doc in random_polynomial_documents(PROOF_POLY_COUNT, seed):
-            cases.append((doc.spec, homology(build_complex(doc.spec), check=False)))
+            cases.append((doc.spec, homology(build_complex(doc.spec))))
     assert len(cases) == (sum(9 ** k for k in range(1, PROOF_MAX_RANK + 1))
                           + len(PROOF_POLY_SEEDS) * PROOF_POLY_COUNT)
     path = tmp_path / "doc.json"

@@ -14,13 +14,24 @@ import evansk
 from evansk import dumps_document, loads_documents
 from evansk import cli
 from evansk.cli import MAX_REPORT_TORSION, main, torsion_entries
-from evansk.complexes import MAX_BOUNDARY_CELLS, build_complex
+from evansk.complexes import (
+    MAX_BOUNDARY_CELLS,
+    MAX_PRODUCT_MADDS,
+    build_complex,
+    differential_product_witness,
+)
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import AbelianGroup, homology
 from evansk.intmat import IntMatrix
-from evansk.kgraph import SpecValidationError, coadjacencies, spec_from_matrices, validate
-from evansk.spectral import e2_page, k_theory_verdict
+from evansk.kgraph import (
+    MAX_RANK,
+    SpecValidationError,
+    coadjacencies,
+    spec_from_matrices,
+    validate,
+)
+from evansk.spectral import Analysis, e2_page, k_theory_verdict
 
 NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
 
@@ -268,6 +279,30 @@ def test_rank_30_complex_refused_in_bounded_memory(tmp_path):
     )
 
 
+def test_rank_over_limit_refused_quickly(tmp_path):
+    # Without the limit a rank-15 000 document runs for about a minute and
+    # then fails on Python's limit on printing integers over 4 300 digits.
+    path = tmp_path / "rank15000.json"
+    doc = {"k": 15_000, "vertices": ["v"], "adjacency": [[[3]]] * 15_000}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("verdict", "homology", "e2"):
+        proc = _run_limited([command, str(path), "--format", "json"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: rank must be <= {MAX_RANK}, got 15000\n"
+
+
+def test_slow_product_refused_before_assembly(tmp_path):
+    # [3] * 11 has 213 444-cell boundaries, but its d o d check would take
+    # about 2e8 multiply-adds; one degree of output does not change that.
+    path = tmp_path / "rank11.json"
+    path.write_text(dumps_document(monoid_document([3] * 11)), encoding="utf-8")
+    proc = _run_limited(["complex", str(path), "--degree", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
+    assert proc.stderr == (f"error: certifying d o d = 0 would take {madds} multiply-adds, "
+                           f"over the limit of {MAX_PRODUCT_MADDS}\n")
+
+
 def test_torsion_entries_estimate():
     page = k_theory_verdict(monoid_document([3] * 30).spec).e2.columns
     assert torsion_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
@@ -394,6 +429,17 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
     assert len(coadjacency_builds) == (1 if status == 0 else 0)
     assert len(determinants) == (spec.rank if status == 0 else 0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: homology(build_complex(monoid_document([3, 5, 7]).spec)),
+    lambda: Analysis(TWO_VERTEX_GCD_4).verdict,
+], ids=["homology", "verdict"])
+def test_each_complex_runs_the_product_once(run, monkeypatch):
+    # The ChainComplex constructor is the one place d o d = 0 is computed.
+    products = _count_calls(monkeypatch, differential_product_witness)
+    run()
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import random
 from math import comb
@@ -23,6 +24,7 @@ from evansk import (
 )
 from evansk.complexes import (
     MAX_BOUNDARY_CELLS,
+    MAX_PRODUCT_MADDS,
     ComplexTooLargeError,
     boundary_cells,
 )
@@ -235,16 +237,21 @@ def test_tensor_empty_rejected():
 
 @pytest.mark.parametrize("ms", [(3, 5), (2, 2, 2), (1, 4, 6), (3, 5, 7, 9)])
 def test_tensor_homology_matches_block_construction(ms):
-    evans = homology(build_complex(monoid_spec(ms)), check=False)
-    tensor = homology(tensor_monoid_complex([1 - m for m in ms]), check=False)
+    evans = homology(build_complex(monoid_spec(ms)))
+    tensor = homology(tensor_monoid_complex([1 - m for m in ms]))
     assert evans == tensor
 
 
-def test_homology_rejects_non_complex():
-    bad = ChainComplex(2, (1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])))
+def error_fields(err: ChainComplexError) -> tuple[int, int, int, int]:
+    return (err.degree, err.row, err.col, err.value)
+
+
+def test_constructor_rejects_non_complex():
+    # No ChainComplex holds maps with d_1 d_2 = [[1]], so homology never sees them.
     with pytest.raises(ChainComplexError) as info:
-        homology(bad)
-    assert info.value.degree == 1 and info.value.value == 1
+        ChainComplex(2, (1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])))
+    assert error_fields(info.value) == (1, 0, 0, 1)
+    assert list(inspect.signature(homology).parameters) == ["cc"]
 
 
 def test_witness_matches_dense_scan_on_valid_complexes():
@@ -253,20 +260,19 @@ def test_witness_matches_dense_scan_on_valid_complexes():
     for spec in specs:
         cc = build_complex(spec)
         assert differential_product_witness(cc) is None
-        assert dense_product_witness(cc) is None
+        assert dense_product_witness(cc.boundaries) is None
 
 
 def test_witness_matches_dense_scan_on_non_commuting_control():
     spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     bs = (build_differential_direct(spec, 1), build_differential_direct(spec, 2))
-    cc = ChainComplex(2, (2, 4, 2), bs)
-    witness = differential_product_witness(cc)
-    assert witness is not None
-    assert witness == dense_product_witness(cc)
+    with pytest.raises(ChainComplexError) as info:
+        ChainComplex(2, (2, 4, 2), bs)
+    assert error_fields(info.value) == dense_product_witness(bs)
 
 
 @st.composite
-def chain_complexes(draw):
+def boundary_maps(draw):
     length = draw(st.integers(1, 4))
     ranks = tuple(draw(st.integers(0, 5)) for _ in range(length + 1))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2 ** 66])
@@ -275,15 +281,23 @@ def chain_complexes(draw):
                   [[draw(entries) for _ in range(ranks[p])] for _ in range(ranks[p - 1])])
         for p in range(1, length + 1)
     )
-    return ChainComplex(length, ranks, boundaries)
+    return length, ranks, boundaries
 
 
 @settings(max_examples=300, deadline=None)
-@given(chain_complexes())
-def test_witness_matches_dense_scan_on_arbitrary_boundaries(cc):
-    # Random boundaries rarely square to zero: the first (p, r, c, value)
-    # in degree, then row-major, order must agree exactly.
-    assert differential_product_witness(cc) == dense_product_witness(cc)
+@given(boundary_maps())
+def test_witness_matches_dense_scan_on_arbitrary_boundaries(maps):
+    # Random boundaries rarely square to zero: the constructor must refuse
+    # them at the dense scan's first (p, r, c, value), in degree, then
+    # row-major, order, and accept exactly the maps the scan passes.
+    length, ranks, boundaries = maps
+    witness = dense_product_witness(boundaries)
+    try:
+        ChainComplex(length, ranks, boundaries)
+    except ChainComplexError as err:
+        assert error_fields(err) == witness
+    else:
+        assert witness is None
 
 
 def test_boundary_cells_estimate():
@@ -308,6 +322,37 @@ def test_build_complex_refuses_over_budget(monkeypatch):
     monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
     with pytest.raises(ComplexTooLargeError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
         build_complex(monoid_spec([2] + [3] * 29))
+    # [3] * 11 fits the cell budget (C(11, 5) * C(11, 6) = 213 444 cells),
+    # but its products take sum C(11, p-1) C(11, p) C(11, p+1) multiply-adds.
+    madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
+    assert boundary_cells(11, 1) < MAX_BOUNDARY_CELLS < MAX_PRODUCT_MADDS < madds
+    with pytest.raises(ComplexTooLargeError) as info:
+        build_complex(monoid_spec([3] * 11))
+    assert str(info.value) == (f"certifying d o d = 0 would take {madds} multiply-adds, "
+                               f"over the limit of {MAX_PRODUCT_MADDS}")
+
+
+def product_madds(cc: ChainComplex) -> int:
+    """Multiply-adds of the dense products d_p d_(p+1) of a built complex."""
+    return sum(cc.boundary(p).rows * cc.boundary(p).cols * cc.boundary(p + 1).cols
+               for p in range(1, cc.length))
+
+
+def test_product_madds_limit_is_exact(monkeypatch):
+    # Every rank scales by n, so cyclic-large (k = 6, n = 8) takes 8^3 times
+    # the one-vertex figure: 4 239 360, with 20x headroom under the limit.
+    assert product_madds(build_complex(monoid_spec([3] * 6))) * 8 ** 3 == 4_239_360
+    assert 20 * 4_239_360 < MAX_PRODUCT_MADDS
+    # The preflight's estimate equals the real products' work: at that many
+    # multiply-adds the complex is built, at one fewer it is refused.
+    specs = [monoid_spec(ms) for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7)]
+    specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
+    for spec, madds in [(spec, product_madds(build_complex(spec))) for spec in specs]:
+        monkeypatch.setattr("evansk.complexes.MAX_PRODUCT_MADDS", madds)
+        build_complex(spec)
+        monkeypatch.setattr("evansk.complexes.MAX_PRODUCT_MADDS", madds - 1)
+        with pytest.raises(ComplexTooLargeError, match=f"would take {madds} multiply-adds"):
+            build_complex(spec)
 
 
 def test_oracles_stay_independent():

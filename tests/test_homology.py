@@ -7,6 +7,7 @@ from evansk import (
     TRIVIAL_GROUP,
     AbelianGroup,
     ChainComplex,
+    ChainComplexError,
     IntMatrix,
     build_complex,
     homology,
@@ -49,7 +50,7 @@ def test_top_group_is_torsion_free():
 def test_euler_characteristic():
     for ms in [(3, 5), (2, 3, 4), (3, 5, 7, 9)]:
         cc = build_complex(monoid_spec(ms))
-        groups = homology(cc, check=False)
+        groups = homology(cc)
         chi_ranks = sum((-1) ** p * r for p, r in enumerate(cc.ranks))
         chi_homology = sum((-1) ** p * g.free_rank for p, g in enumerate(groups))
         assert chi_ranks == chi_homology
@@ -60,7 +61,7 @@ def test_euler_characteristic():
 @given(specs)
 def test_euler_characteristic_property(spec):
     cc = build_complex(spec)
-    groups = homology(cc, check=False)
+    groups = homology(cc)
     chi_ranks = sum((-1) ** p * r for p, r in enumerate(cc.ranks))
     assert chi_ranks == sum((-1) ** p * g.free_rank for p, g in enumerate(groups))
 
@@ -68,7 +69,7 @@ def test_euler_characteristic_property(spec):
 def test_basis_change_invariance():
     rng = random.Random(99)
     cc = build_complex(monoid_spec([3, 5, 7]))
-    base = homology(cc, check=False)
+    base = homology(cc)
     for _ in range(5):
         transforms = [random_unimodular(r, rng) for r in cc.ranks]
         conjugated = ChainComplex(
@@ -84,9 +85,9 @@ def test_basis_change_invariance():
 
 def test_permuted_coordinates_same_homology():
     spec = monoid_spec([3, 5, 7])
-    base = homology(build_complex(spec), check=False)
+    base = homology(build_complex(spec))
     for sigma in [(2, 1, 3), (3, 1, 2), (3, 2, 1)]:
-        assert homology(build_complex(permute_coordinates(spec, sigma)), check=False) == base
+        assert homology(build_complex(permute_coordinates(spec, sigma))) == base
 
 
 
@@ -182,12 +183,10 @@ def test_homology_degrees_count():
     assert len(groups) == 5
 
 
-def test_check_flag_catches_bad_products():
-    bad = ChainComplex(
-        2, (1, 1, 1), (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]]))
-    )
-    with pytest.raises(ValueError):
-        homology(bad, check=True)
+def test_constructor_catches_bad_products():
+    with pytest.raises(ChainComplexError) as info:
+        ChainComplex(2, (1, 1, 1), (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])))
+    assert (info.value.degree, info.value.value) == (1, 6)
 
 
 @settings(max_examples=200, deadline=None)

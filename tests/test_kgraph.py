@@ -10,6 +10,7 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
+from evansk.kgraph import MAX_RANK
 
 from oracles import commutation_witnesses, permute_coordinates
 
@@ -87,6 +88,9 @@ def test_structural_errors():
         KGraphSpec(rank=1, vertices=(), adjacency=(IntMatrix.zeros(0, 0),))
     with pytest.raises(StructuralError):
         monoid_spec([])
+    assert 30 <= MAX_RANK == monoid_spec([3] * MAX_RANK).rank
+    with pytest.raises(StructuralError, match=f"^rank must be <= {MAX_RANK}, got {MAX_RANK + 1}$"):
+        monoid_spec([3] * (MAX_RANK + 1))
 
 
 def test_coadjacency_examples():

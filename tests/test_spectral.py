@@ -33,7 +33,7 @@ Z3 = AbelianGroup.cyclic(3)
 
 
 def test_page_from_monoid_rank3():
-    groups = homology(build_complex(monoid_spec([3, 5, 7])), check=False)
+    groups = homology(build_complex(monoid_spec([3, 5, 7])))
     page = e2_page(groups, 3)
     assert [str(g) for g in page.columns] == ["Z2", "Z2^2", "Z2", "0"]
 
@@ -53,7 +53,7 @@ def test_page_length_mismatch():
 
 
 def test_trivial_monoid_rank2_page():
-    groups = homology(build_complex(monoid_spec([1, 1])), check=False)
+    groups = homology(build_complex(monoid_spec([1, 1])))
     page = e2_page(groups, 2)
     assert [g.free_rank for g in page.columns] == [1, 2, 1]
 
@@ -82,7 +82,7 @@ def test_closed_form_all_zero_matches_snf():
 
 def test_closed_form_matches_pipeline_on_mixed_zero():
     spec = monoid_spec([5, 1])  # B = (-4, 0)
-    assert homology(build_complex(spec), check=False) == monoid_closed_form([-4, 0])
+    assert homology(build_complex(spec)) == monoid_closed_form([-4, 0])
 
 
 def test_verdict_r1_unimodular():
@@ -152,7 +152,7 @@ def test_verdict_r7_upgrades_when_middle_free():
     # -8, -11), the top homology vanishes, and H2 is torsion-free, so the
     # collapse argument determines K0 outright.
     spec = spec_from_matrices([[[1, 2], [1, 2]], [[3, 6], [3, 6]], [[4, 8], [4, 8]]])
-    groups = homology(build_complex(spec), check=False)
+    groups = homology(build_complex(spec))
     assert groups[3].is_trivial and groups[2].is_torsion_free
     v = k_theory_verdict(spec)
     assert (v.kind, v.rule) == (VerdictKind.DETERMINED, "R7")
@@ -178,7 +178,7 @@ def test_verdict_rank4_monoid_nontrivial_is_indeterminate():
 def test_r4_consistent_with_homology_ends(ms):
     # The rank-3 monoid verdict must agree with the independently computed
     # page: K1 with column 1, and the extension ends with columns 0 and 2.
-    groups = homology(build_complex(monoid_spec(ms)), check=False)
+    groups = homology(build_complex(monoid_spec(ms)))
     v = k_theory_verdict(monoid_spec(ms))
     assert v.rule == "R4"
     assert v.k1 == groups[1]
