@@ -53,7 +53,6 @@ from .spectral import (
     E2Page,
     KTheoryVerdict,
     VerdictKind,
-    e2_page,
     k_theory_verdict,
     monoid_closed_form,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "document_to_dict",
     "dumps_document",
     "dumps_documents",
-    "e2_page",
     "elementary_divisors",
     "enumerate_tuples",
     "format_index_tuple",

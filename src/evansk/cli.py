@@ -12,11 +12,14 @@ Subcommands::
 
 ``--format text|json`` selects the output form; ``--out PATH`` redirects
 it to a file.  The JSON report has the same schema for every subcommand,
-with unused sections null.  Exit status: 0 success, 1 validation failure,
-2 parse/structural/usage error or an input over a size limit (a rank over
-``MAX_RANK``, a complex over ``MAX_BOUNDARY_CELLS`` cells per boundary or
+with unused sections null; each report formats the stages of one
+:class:`~evansk.spectral.Analysis`.  Exit status: 0 success, 1 validation
+failure, 2 parse/structural/usage error (``--degree`` is checked before
+assembly) or an input over a size limit (a rank over ``MAX_RANK``, a
+complex over ``MAX_BOUNDARY_CELLS`` cells per boundary or
 ``MAX_PRODUCT_MADDS`` for its ``d o d`` check, a JSON page over
-``MAX_REPORT_TORSION`` torsion entries), 141 when the reader closes stdout early.
+``MAX_REPORT_TORSION`` torsion entries, a ``gen`` run over
+``MAX_DOCUMENTS`` documents), 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -30,17 +33,21 @@ import sys
 import time
 from pathlib import Path
 
-from .complexes import ComplexTooLargeError
+from .complexes import ChainComplex, ComplexTooLargeError
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .kgraph import StructuralError
 from .render import render_differential
-from .spectral import Analysis, e2_page
+from .spectral import Analysis
 
 
 #: The most torsion entries a JSON report lists per page; a text report
 #: prints each run of equal orders as one power and has no limit.
 MAX_REPORT_TORSION = 10**6
+
+
+class ReportError(ValueError):
+    """A ``--degree`` out of range, or a JSON page over ``MAX_REPORT_TORSION``."""
 
 
 def torsion_entries(groups) -> int:
@@ -60,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
               open(os.devnull, "w") as devnull):  # quiet the flush at exit too
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE: what a shell reports for a C tool in the same pipe
-    except (DocumentError, StructuralError, CorpusError, ComplexTooLargeError, OSError) as exc:
+    except (DocumentError, StructuralError, CorpusError, ComplexTooLargeError, ReportError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -145,17 +153,10 @@ def _validation_dict(report) -> dict:
 def _make_command(command: str):
     def run(args: argparse.Namespace) -> int:
         doc = load_document(args.file)
-        spec = doc.spec
         out = _report_skeleton(command, doc)
-        timings: dict[str, float] = {}
         t0 = time.perf_counter()
-        analysis = Analysis(spec)
+        analysis = Analysis(doc.spec)
         report = analysis.validation
-        if report.ok and command != "validate":
-            # Assemble now, if at all, so that its time counts as build.
-            if command == "complex" or analysis.needs_complex:
-                analysis.complex
-        timings["build"] = time.perf_counter() - t0
         out["validation"] = _validation_dict(report)
         if not report.ok:
             if args.format == "json":
@@ -167,76 +168,80 @@ def _make_command(command: str):
             out["timing"] = {"seconds": {}}
             _emit(json.dumps(out, indent=2) if args.format == "json" else "valid", args)
             return 0
-
-        k = spec.rank
+        k = doc.spec.rank
         degrees = range(1, k + 1)
         if command == "complex" and args.degree is not None:
             if not 1 <= args.degree <= k:
-                print(f"error: degree {args.degree} out of range 1..{k}", file=sys.stderr)
-                return 2
+                raise ReportError(f"degree {args.degree} out of range 1..{k}")
             degrees = range(args.degree, args.degree + 1)
-
-        text_lines: list[str] = []
+        # Assemble now, if at all, so that its time counts as build.
+        if command == "complex" or analysis.needs_complex:
+            analysis.complex
+        timings = {"build": time.perf_counter() - t0}
         if command == "complex":
-            cc = analysis.complex
-            out["complex"] = {
-                "ranks": list(cc.ranks),
-                "differentials": [
-                    {
-                        "degree": p,
-                        "rows": cc.boundary(p).rows,
-                        "cols": cc.boundary(p).cols,
-                        "row_labels": cc.labels(p - 1),
-                        "col_labels": cc.labels(p),
-                        "matrix": cc.boundary(p).to_lists(),
-                    }
-                    for p in degrees
-                ],
-            }
-            text_lines.append(f"k = {k}, ranks = {list(cc.ranks)}")
-            for p in degrees:
-                text_lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
-                text_lines.append(render_differential(cc, p))
+            text = _complex_report(analysis.complex, degrees, out)
         else:
-            t1 = time.perf_counter()
-            groups = analysis.homology
-            timings["homology"] = time.perf_counter() - t1
-            page = e2_page(groups, k)
-            if args.format == "json":  # a text report never expands the torsion
-                entries = torsion_entries(groups)
-                if entries > MAX_REPORT_TORSION:
-                    print(f"error: the JSON report would list {entries} torsion entries "
-                          f"per page, over the limit of {MAX_REPORT_TORSION}; "
-                          "--format text prints them as powers", file=sys.stderr)
-                    return 2
-                out["homology"] = [g.to_dict() for g in groups]
-                out["e2"] = page.to_dict()
-            if command == "homology":
-                text_lines.extend(f"H_{p} = {g}" for p, g in enumerate(groups))
-            elif command == "e2":
-                text_lines.append("E2 page (columns repeat in every even row):")
-                text_lines.extend(
-                    f"  E2[{p},2q] = {g}" for p, g in enumerate(page.columns)
-                )
-            else:  # verdict
-                t2 = time.perf_counter()
-                verdict = analysis.verdict
-                timings["verdict"] = time.perf_counter() - t2
-                if args.format == "json":
-                    out["verdict"] = verdict.to_dict()
-                text_lines.append(_verdict_line(verdict))
-                text_lines.append(f"justification: {verdict.justification}")
-                if verdict.commentary:
-                    text_lines.append(f"note: {verdict.commentary}")
-                text_lines.append(
-                    "E2 columns: " + ", ".join(str(g) for g in verdict.e2.columns)
-                )
+            text = _groups_report(command, analysis, args.format, out, timings)
         timings["total"] = time.perf_counter() - t0
         out["timing"] = {"seconds": {k_: round(v, 6) for k_, v in timings.items()}}
-        _emit(json.dumps(out, indent=2) if args.format == "json" else "\n".join(text_lines), args)
+        _emit(json.dumps(out, indent=2) if args.format == "json" else text, args)
         return 0
 
     return run
+
+
+def _complex_report(cc: ChainComplex, degrees: range, out: dict) -> str:
+    out["complex"] = {
+        "ranks": list(cc.ranks),
+        "differentials": [
+            {
+                "degree": p,
+                "rows": cc.boundary(p).rows,
+                "cols": cc.boundary(p).cols,
+                "row_labels": cc.labels(p - 1),
+                "col_labels": cc.labels(p),
+                "matrix": cc.boundary(p).to_lists(),
+            }
+            for p in degrees
+        ],
+    }
+    lines = [f"k = {cc.length}, ranks = {list(cc.ranks)}"]
+    for p in degrees:
+        lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
+        lines.append(render_differential(cc, p))
+    return "\n".join(lines)
+
+
+def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict,
+                   timings: dict[str, float]) -> str:
+    """The ``homology``, ``e2`` and ``verdict`` reports, all read off ``analysis.page``."""
+    t1 = time.perf_counter()
+    groups = analysis.homology
+    timings["homology"] = time.perf_counter() - t1
+    page = analysis.page
+    if fmt == "json":  # a text report never expands the torsion
+        entries = torsion_entries(groups)
+        if entries > MAX_REPORT_TORSION:
+            raise ReportError(f"the JSON report would list {entries} torsion entries "
+                              f"per page, over the limit of {MAX_REPORT_TORSION}; "
+                              "--format text prints them as powers")
+        out["homology"] = [g.to_dict() for g in groups]
+        out["e2"] = page.to_dict()
+    if command == "homology":
+        return "\n".join(f"H_{p} = {g}" for p, g in enumerate(groups))
+    if command == "e2":
+        return "\n".join(["E2 page (columns repeat in every even row):",
+                          *(f"  E2[{p},2q] = {g}" for p, g in enumerate(page.columns))])
+    t2 = time.perf_counter()
+    verdict = analysis.verdict
+    timings["verdict"] = time.perf_counter() - t2
+    if fmt == "json":
+        out["verdict"] = verdict.to_dict()
+    lines = [_verdict_line(verdict), f"justification: {verdict.justification}"]
+    if verdict.commentary:
+        lines.append(f"note: {verdict.commentary}")
+    lines.append("E2 columns: " + ", ".join(str(g) for g in verdict.e2.columns))
+    return "\n".join(lines)
 
 
 def _verdict_line(verdict) -> str:

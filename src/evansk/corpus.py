@@ -25,8 +25,14 @@ from .intmat import IntMatrix
 from .kgraph import KGraphSpec, monoid_spec, validate
 
 
+#: The most documents one generator call makes; ``gen monoid --k 6`` would
+#: make 531 441 and run out of memory before it wrote any.
+MAX_DOCUMENTS = 10**5
+
+
 class CorpusError(ValueError):
-    """Generator parameters produce an invalid spec; message carries a witness."""
+    """Generator parameters produce an invalid spec or too many documents;
+    the message carries a witness."""
 
 
 def monoid_document(ms: Sequence[int], name: str | None = None) -> GraphDocument:
@@ -39,6 +45,10 @@ def exhaustive_monoid_documents(k: int, m_values: Sequence[int]) -> list[GraphDo
     """All rank-``k`` single-vertex specs with loop counts from ``m_values``."""
     if k < 1:
         raise CorpusError(f"rank must be >= 1, got {k}")
+    n = len(m_values)
+    # k may be huge; for n >= 2, n ** b passes the limit already (2 ** b > MAX_DOCUMENTS).
+    if n ** min(k, MAX_DOCUMENTS.bit_length()) > MAX_DOCUMENTS:
+        raise CorpusError(f"would generate {n}^{k} documents, over the limit of {MAX_DOCUMENTS}")
     if any(m < 1 for m in m_values):
         raise CorpusError("loop counts below 1 are not source-free")
     return [monoid_document(ms) for ms in itertools.product(m_values, repeat=k)]
@@ -120,6 +130,8 @@ def random_polynomial_documents(
             "need count >= 0, max-vertices >= 1 and max-rank >= 1, got "
             f"{count}, {max_vertices} and {max_rank}"
         )
+    if count > MAX_DOCUMENTS:
+        raise CorpusError(f"would generate {count} documents, over the limit of {MAX_DOCUMENTS}")
     rng = random.Random(seed)
     prefix = "poly-uni" if unimodular_base else "poly"
     docs = []

@@ -44,8 +44,9 @@ applies:
 3. Otherwise the complex is built and its boundaries go through Smith
    normal form.
 
-Only the third route builds a complex.  Rules R2-R4 take ``g`` as the
-same gcd of the determinants.
+Only the third route builds a complex.  The last two stages place the
+groups on the E2 page and apply the rules above to it; rules R2-R4 take
+``g`` as ``D``, the same gcd of the determinants.
 """
 
 from __future__ import annotations
@@ -68,19 +69,12 @@ class E2Page:
     k: int
     columns: tuple[AbelianGroup, ...]
 
-    def entry(self, p: int, q: int) -> AbelianGroup:
-        if 0 <= p <= self.k and q % 2 == 0:
-            return self.columns[p]
-        return TRIVIAL_GROUP
+    def __post_init__(self):
+        if len(self.columns) != self.k + 1:
+            raise ValueError(f"expected {self.k + 1} homology groups, got {len(self.columns)}")
 
     def to_dict(self) -> dict:
         return {"k": self.k, "columns": [g.to_dict() for g in self.columns]}
-
-
-def e2_page(groups: Sequence[AbelianGroup], k: int) -> E2Page:
-    if len(groups) != k + 1:
-        raise ValueError(f"expected {k + 1} homology groups, got {len(groups)}")
-    return E2Page(k, tuple(groups))
 
 
 class VerdictKind(str, Enum):
@@ -163,7 +157,8 @@ class Analysis:
     """One spec's way to a verdict, in stages that each run at most once
     and only when something reads them:
 
-    ``validation -> coadjacencies -> determinants -> annihilator -> homology -> verdict``
+    ``validation -> coadjacencies -> determinants -> annihilator -> homology
+    -> page -> verdict``
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
@@ -171,6 +166,11 @@ class Analysis:
     notes): the trivial page when ``annihilator == 1``, then the
     one-vertex Künneth closed form, then the ``complex`` stage and Smith
     normal form.  ``needs_complex`` says whether it reaches the last.
+    ``verdict`` applies the first matching rule to ``page``, its ``e2``.
+
+    A stage is a non-data descriptor, so a value assigned before the stage
+    is read stands in for it: after ``analysis.homology = hs``,
+    ``analysis.verdict`` is the rule dispatch on ``hs``.
     """
 
     def __init__(self, spec: KGraphSpec):
@@ -213,8 +213,99 @@ class Analysis:
         return tuple(monoid_closed_form(self.determinants))  # one vertex: det B_i = B_i
 
     @_stage
+    def page(self) -> E2Page:
+        return E2Page(self.spec.rank, tuple(self.homology))
+
+    @_stage
     def verdict(self) -> KTheoryVerdict:
-        return verdict_from_homology(self.coadjacencies, self.determinants, self.homology)
+        """The first matching rule of the module notes; it carries ``page``."""
+        k, page = self.spec.rank, self.page
+        hs = page.columns
+
+        for i, det in enumerate(self.determinants, start=1):
+            if det in (1, -1):
+                return KTheoryVerdict(
+                    kind=VerdictKind.TRIVIAL, rule="R1", e2=page,
+                    k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
+                    justification=(
+                        f"co-adjacency matrix B{i} is unimodular (det = {det}), "
+                        "so the whole complex is exact and K-theory vanishes"
+                    ),
+                )
+
+        if self.spec.is_monoid:  # one vertex: det B_i = B_i, so g is the gcd of the scalars
+            g = self.annihilator
+            if g == 0:
+                size = 2 ** (k - 1)
+                return KTheoryVerdict(
+                    kind=VerdictKind.DETERMINED, rule="R2", e2=page,
+                    k0=AbelianGroup.free(size), k1=AbelianGroup.free(size),
+                    justification=(
+                        "single vertex with every co-adjacency zero: the algebra is the "
+                        f"k-torus algebra, K0 = K1 = Z^{size}"
+                    ),
+                )
+            if g == 1:
+                return KTheoryVerdict(
+                    kind=VerdictKind.TRIVIAL, rule="R3", e2=page,
+                    k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
+                    justification="single vertex with coprime co-adjacency scalars: "
+                                  "every E2 entry vanishes",
+                )
+            if k == 3:
+                zg = AbelianGroup.cyclic(g)
+                return KTheoryVerdict(
+                    kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R4", e2=page,
+                    k1=AbelianGroup.cyclic(g, 2), ses=(zg, zg),
+                    justification=(
+                        f"single vertex, rank 3, g = {g}: the page stabilizes with "
+                        "columns Zg, Zg^2, Zg, 0, so K1 = Zg^2 while K0 is only known "
+                        "through the extension Zg -> K0 -> Zg"
+                    ),
+                    commentary=(
+                        "possible K0 up to isomorphism (not determined): "
+                        + _ses_middle_candidates(g)
+                    ),
+                )
+
+        if k == 1:
+            return KTheoryVerdict(
+                kind=VerdictKind.DETERMINED, rule="R5", e2=page,
+                k0=hs[0], k1=hs[1],
+                justification="derived collapse: rank 1 leaves single columns in each "
+                              "total parity, so K0 = H0 and K1 = H1",
+            )
+        if k == 2:
+            return KTheoryVerdict(
+                kind=VerdictKind.DETERMINED, rule="R6", e2=page,
+                k0=hs[0].direct_sum(hs[2]), k1=hs[1],
+                justification="derived collapse: rank 2 admits no later differential, "
+                              "and the K0 extension splits because H2 is a kernel, "
+                              "hence free; K1 = H1, K0 = H0 + H2",
+            )
+        if k == 3 and (hs[3].is_trivial or hs[0].is_trivial):
+            k1 = hs[1].direct_sum(hs[3])
+            base = (
+                "derived collapse: one end column vanishes, so the page-3 "
+                "differential is zero; K1 = H1 + H3 splits since H3 is free"
+            )
+            if hs[2].is_torsion_free:
+                return KTheoryVerdict(
+                    kind=VerdictKind.DETERMINED, rule="R7", e2=page,
+                    k0=hs[0].direct_sum(hs[2]), k1=k1,
+                    justification=base + "; the K0 extension splits because H2 is torsion-free",
+                )
+            return KTheoryVerdict(
+                kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R7", e2=page,
+                k1=k1, ses=(hs[0], hs[2]),
+                justification=base + "; K0 is only known through the extension H0 -> K0 -> H2",
+            )
+
+        return KTheoryVerdict(
+            kind=VerdictKind.INDETERMINATE, rule="R8", e2=page,
+            justification="no applicable closed form or collapse argument: differentials "
+                          "on page 3 and beyond may be nonzero, so only the E2 page is reported",
+        )
 
 
 def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
@@ -224,98 +315,3 @@ def k_theory_verdict(spec: KGraphSpec) -> KTheoryVerdict:
     before any other work.
     """
     return Analysis(spec).verdict
-
-
-def verdict_from_homology(bs: Sequence[IntMatrix], determinants: Sequence[int],
-                          hs: Sequence[AbelianGroup]) -> KTheoryVerdict:
-    """Apply the first matching rule to the co-adjacency matrices ``bs`` of
-    a valid spec (their count is the rank, their size the vertex count),
-    their ``determinants``, and the homology ``hs`` in degrees ``0..k``;
-    nothing is rebuilt or revalidated."""
-    k = len(bs)
-    page = e2_page(hs, k)
-
-    for i, det in enumerate(determinants, start=1):
-        if det in (1, -1):
-            return KTheoryVerdict(
-                kind=VerdictKind.TRIVIAL, rule="R1", e2=page,
-                k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
-                justification=(
-                    f"co-adjacency matrix B{i} is unimodular (det = {det}), "
-                    "so the whole complex is exact and K-theory vanishes"
-                ),
-            )
-
-    if bs[0].rows == 1:  # one vertex: det B_i = B_i, so g is the gcd of the scalars
-        g = gcd(*determinants)
-        if g == 0:
-            size = 2 ** (k - 1)
-            return KTheoryVerdict(
-                kind=VerdictKind.DETERMINED, rule="R2", e2=page,
-                k0=AbelianGroup.free(size), k1=AbelianGroup.free(size),
-                justification=(
-                    "single vertex with every co-adjacency zero: the algebra is the "
-                    f"k-torus algebra, K0 = K1 = Z^{size}"
-                ),
-            )
-        if g == 1:
-            return KTheoryVerdict(
-                kind=VerdictKind.TRIVIAL, rule="R3", e2=page,
-                k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
-                justification="single vertex with coprime co-adjacency scalars: "
-                              "every E2 entry vanishes",
-            )
-        if k == 3:
-            zg = AbelianGroup.cyclic(g)
-            return KTheoryVerdict(
-                kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R4", e2=page,
-                k1=AbelianGroup.cyclic(g, 2), ses=(zg, zg),
-                justification=(
-                    f"single vertex, rank 3, g = {g}: the page stabilizes with "
-                    "columns Zg, Zg^2, Zg, 0, so K1 = Zg^2 while K0 is only known "
-                    "through the extension Zg -> K0 -> Zg"
-                ),
-                commentary=(
-                    "possible K0 up to isomorphism (not determined): "
-                    + _ses_middle_candidates(g)
-                ),
-            )
-
-    if k == 1:
-        return KTheoryVerdict(
-            kind=VerdictKind.DETERMINED, rule="R5", e2=page,
-            k0=hs[0], k1=hs[1],
-            justification="derived collapse: rank 1 leaves single columns in each "
-                          "total parity, so K0 = H0 and K1 = H1",
-        )
-    if k == 2:
-        return KTheoryVerdict(
-            kind=VerdictKind.DETERMINED, rule="R6", e2=page,
-            k0=hs[0].direct_sum(hs[2]), k1=hs[1],
-            justification="derived collapse: rank 2 admits no later differential, "
-                          "and the K0 extension splits because H2 is a kernel, "
-                          "hence free; K1 = H1, K0 = H0 + H2",
-        )
-    if k == 3 and (hs[3].is_trivial or hs[0].is_trivial):
-        k1 = hs[1].direct_sum(hs[3])
-        base = (
-            "derived collapse: one end column vanishes, so the page-3 "
-            "differential is zero; K1 = H1 + H3 splits since H3 is free"
-        )
-        if hs[2].is_torsion_free:
-            return KTheoryVerdict(
-                kind=VerdictKind.DETERMINED, rule="R7", e2=page,
-                k0=hs[0].direct_sum(hs[2]), k1=k1,
-                justification=base + "; the K0 extension splits because H2 is torsion-free",
-            )
-        return KTheoryVerdict(
-            kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R7", e2=page,
-            k1=k1, ses=(hs[0], hs[2]),
-            justification=base + "; K0 is only known through the extension H0 -> K0 -> H2",
-        )
-
-    return KTheoryVerdict(
-        kind=VerdictKind.INDETERMINATE, rule="R8", e2=page,
-        justification="no applicable closed form or collapse argument: differentials "
-                      "on page 3 and beyond may be nonzero, so only the E2 page is reported",
-    )

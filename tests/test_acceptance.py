@@ -49,7 +49,6 @@ from evansk import (
 from evansk.cli import main
 from evansk.corpus import random_polynomial_documents
 from evansk.render import render_symbolic_differential, symbolic_blocks
-from evansk.spectral import verdict_from_homology
 
 from oracles import (
     block,
@@ -372,8 +371,9 @@ def test_proved_verdicts_match_computed_homology(monoid_sweep, tmp_path):
     # One handle, rewritten in place: truncating on open is slow on some disks.
     with open(path, "w", encoding="utf-8") as doc_file:
         for spec, hs in cases:
-            bs = coadjacencies(spec)
-            expected = verdict_from_homology(bs, [b.det() for b in bs], hs)
+            dispatched = Analysis(spec)
+            dispatched.homology = hs
+            expected = dispatched.verdict
             assert k_theory_verdict(spec) == expected
             doc_file.seek(0)
             doc_file.write(json.dumps(document_to_dict(GraphDocument(spec=spec))))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import evansk
 from evansk import dumps_document, loads_documents
-from evansk import cli
+from evansk import cli, corpus, spectral
 from evansk.cli import MAX_REPORT_TORSION, main, torsion_entries
 from evansk.complexes import (
     MAX_BOUNDARY_CELLS,
@@ -31,7 +31,7 @@ from evansk.kgraph import (
     spec_from_matrices,
     validate,
 )
-from evansk.spectral import Analysis, e2_page, k_theory_verdict
+from evansk.spectral import Analysis, E2Page, k_theory_verdict
 
 NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
 
@@ -136,6 +136,21 @@ def test_complex_degree_out_of_range(monoid_file, capsys):
     assert "range 1..3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["99", "0"])
+def test_bad_degree_refused_before_assembly(degree, tmp_path, monkeypatch, capsys):
+    # Assembling [3] * 10 and certifying d o d = 0 takes seconds; the rank
+    # alone decides that a degree is out of range.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad degree is refused before assembly")
+
+    monkeypatch.setattr(spectral, "build_complex", refuse)
+    path = tmp_path / "rank10.json"
+    path.write_text(dumps_document(monoid_document([3] * 10)), encoding="utf-8")
+    for fmt in ("text", "json"):
+        assert main(["complex", str(path), "--degree", degree, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: degree {degree} out of range 1..10\n")
+
+
 def test_json_report_schema_stable(monoid_file, capsys):
     reports = {}
     for command in ("validate", "complex", "homology", "e2", "verdict"):
@@ -182,6 +197,16 @@ def test_gen_monoid(tmp_path, capsys):
     docs = loads_documents(capsys.readouterr().out)
     assert len(docs) == 9
     assert docs[0].spec.rank == 2
+
+
+def test_gen_over_document_budget_exits_2(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget is checked before generating")
+
+    monkeypatch.setattr(corpus, "monoid_document", refuse)
+    assert main(["gen", "monoid", "--k", "9"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: would generate 9^9 documents, over the limit of 100000\n")
 
 
 def test_gen_monoid_bad_range(capsys):
@@ -361,7 +386,7 @@ def _assert_verdict_parity(spec, path) -> None:
     assert status == 0
     groups = homology(build_complex(spec))
     assert report["homology"] == [g.to_dict() for g in groups]
-    assert report["e2"] == e2_page(groups, spec.rank).to_dict()
+    assert report["e2"] == Analysis(spec).page.to_dict()
     assert report["verdict"] == k_theory_verdict(spec).to_dict()
 
 
@@ -375,6 +400,21 @@ def test_verdict_report_matches_library(tmp_path_factory, count, seed):
 
 def test_verdict_report_matches_library_when_invalid(tmp_path):
     _assert_verdict_parity(NON_COMMUTING, tmp_path / "bad.json")
+
+
+def test_verdict_report_builds_one_page(monoid_file, monkeypatch, capsys):
+    pages = []
+    post_init = E2Page.__post_init__
+
+    def counted(self):
+        pages.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(E2Page, "__post_init__", counted)
+    assert main(["verdict", monoid_file, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(pages) == 1
+    assert report["e2"] == report["verdict"]["e2"] == pages[0].to_dict()
 
 
 def _count_calls(monkeypatch, fn) -> list:

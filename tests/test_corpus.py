@@ -1,7 +1,8 @@
 import pytest
 
-from evansk import dumps_documents, validate
+from evansk import corpus, dumps_documents, validate
 from evansk.corpus import (
+    MAX_DOCUMENTS,
     CorpusError,
     companion_matrix,
     evaluate_polynomial,
@@ -32,6 +33,29 @@ def test_exhaustive_rejects_bad_parameters():
         exhaustive_monoid_documents(0, range(1, 3))
     with pytest.raises(CorpusError):
         exhaustive_monoid_documents(2, [0, 1])
+
+
+def test_document_budget_checked_from_the_estimate(monkeypatch):
+    # gen monoid --k 6 would make 531 441 documents and run out of memory
+    # first; the refusal comes before any document is made.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget is checked before generating")
+
+    monkeypatch.setattr(corpus, "monoid_document", refuse)
+    monkeypatch.setattr(corpus, "polynomial_family_document", refuse)
+    for k, values, estimate in [
+        (6, range(1, 10), "9^6"),
+        (10**12, range(1, 10), "9^1000000000000"),  # no huge power is computed
+        (1, range(1, 10**12), "999999999999^1"),  # no loop count is scanned
+    ]:
+        with pytest.raises(CorpusError) as exc:
+            exhaustive_monoid_documents(k, values)
+        assert str(exc.value) == f"would generate {estimate} documents, over the limit of 100000"
+    with pytest.raises(CorpusError, match="^would generate 100001 documents, over the limit "):
+        random_polynomial_documents(MAX_DOCUMENTS + 1, seed=1)
+
+    monkeypatch.setattr(corpus, "monoid_document", lambda ms: ms)
+    assert len(exhaustive_monoid_documents(5, range(1, 11))) == MAX_DOCUMENTS == 10**5
 
 
 def test_polynomial_family_example():

@@ -8,13 +8,13 @@ from evansk import (
     TRIVIAL_GROUP,
     AbelianGroup,
     Analysis,
+    E2Page,
     IntMatrix,
     SpecValidationError,
     VerdictKind,
     boundary_pattern,
     build_complex,
     coadjacencies,
-    e2_page,
     homology,
     k_theory_verdict,
     monoid_closed_form,
@@ -22,7 +22,6 @@ from evansk import (
     spec_from_matrices,
 )
 from evansk import spectral
-from evansk.spectral import verdict_from_homology
 from evansk.corpus import random_polynomial_documents
 
 from oracles import adjugate, det_cofactor
@@ -34,27 +33,30 @@ Z3 = AbelianGroup.cyclic(3)
 
 def test_page_from_monoid_rank3():
     groups = homology(build_complex(monoid_spec([3, 5, 7])))
-    page = e2_page(groups, 3)
+    page = E2Page(3, tuple(groups))
     assert [str(g) for g in page.columns] == ["Z2", "Z2^2", "Z2", "0"]
-
-
-def test_page_entry_parity_and_range():
-    page = e2_page([AbelianGroup.free(1), Z2], 1)
-    assert page.entry(0, 0) == AbelianGroup.free(1)
-    assert page.entry(1, -2) == Z2
-    assert page.entry(1, 1) == TRIVIAL_GROUP
-    assert page.entry(2, 0) == TRIVIAL_GROUP
-    assert page.entry(-1, 0) == TRIVIAL_GROUP
+    assert Analysis(monoid_spec([3, 5, 7])).page == page
 
 
 def test_page_length_mismatch():
+    with pytest.raises(ValueError, match="expected 4 homology groups, got 1"):
+        E2Page(3, (Z2,))
     with pytest.raises(ValueError):
-        e2_page([Z2], 3)
+        E2Page(1, (Z2, Z2, Z2))
+
+
+@pytest.mark.parametrize("spec", [
+    monoid_spec([3, 5, 7]),
+    spec_from_matrices([[[2, 1], [1, 2]], [[1, 2], [2, 1]]]),
+])
+def test_verdict_carries_the_page_stage(spec):
+    analysis = Analysis(spec)
+    assert analysis.verdict.e2 is analysis.page
 
 
 def test_trivial_monoid_rank2_page():
     groups = homology(build_complex(monoid_spec([1, 1])))
-    page = e2_page(groups, 2)
+    page = E2Page(2, tuple(groups))
     assert [g.free_rank for g in page.columns] == [1, 2, 1]
 
 
@@ -337,8 +339,9 @@ def test_one_vertex_closed_form_matches_snf_property(spec):
     hs = tuple(homology(build_complex(spec)))
     assert not analysis.needs_complex
     assert analysis.homology == hs
-    bs = coadjacencies(spec)
-    assert analysis.verdict == verdict_from_homology(bs, [b.det() for b in bs], hs)
+    dispatched = Analysis(spec)
+    dispatched.homology = hs  # the rule dispatch on the SNF groups
+    assert analysis.verdict == dispatched.verdict
 
 
 @pytest.mark.parametrize("ms, rule, column", [
