@@ -50,7 +50,6 @@ from .kgraph import (
 from .snf import SnfResult, elementary_divisors, rank_from_divisors, smith_normal_form
 from .spectral import (
     Analysis,
-    E2Page,
     KTheoryVerdict,
     VerdictKind,
     k_theory_verdict,
@@ -66,7 +65,6 @@ __all__ = [
     "ChainComplex",
     "ChainComplexError",
     "DocumentError",
-    "E2Page",
     "GraphDocument",
     "IndexTuple",
     "IntMatrix",

@@ -38,7 +38,7 @@ from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .kgraph import StructuralError
 from .render import render_differential
-from .spectral import Analysis
+from .spectral import Analysis, e2_dict
 
 
 #: The most torsion entries a JSON report lists per page; a text report
@@ -214,11 +214,10 @@ def _complex_report(cc: ChainComplex, degrees: range, out: dict) -> str:
 
 def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict,
                    timings: dict[str, float]) -> str:
-    """The ``homology``, ``e2`` and ``verdict`` reports, all read off ``analysis.page``."""
+    """The ``homology``, ``e2`` and ``verdict`` reports, all read off ``analysis.homology``."""
     t1 = time.perf_counter()
     groups = analysis.homology
     timings["homology"] = time.perf_counter() - t1
-    page = analysis.page
     if fmt == "json":  # a text report never expands the torsion
         entries = torsion_entries(groups)
         if entries > MAX_REPORT_TORSION:
@@ -226,12 +225,12 @@ def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict,
                               f"per page, over the limit of {MAX_REPORT_TORSION}; "
                               "--format text prints them as powers")
         out["homology"] = [g.to_dict() for g in groups]
-        out["e2"] = page.to_dict()
+        out["e2"] = e2_dict(groups)
     if command == "homology":
         return "\n".join(f"H_{p} = {g}" for p, g in enumerate(groups))
     if command == "e2":
         return "\n".join(["E2 page (columns repeat in every even row):",
-                          *(f"  E2[{p},2q] = {g}" for p, g in enumerate(page.columns))])
+                          *(f"  E2[{p},2q] = {g}" for p, g in enumerate(groups))])
     t2 = time.perf_counter()
     verdict = analysis.verdict
     timings["verdict"] = time.perf_counter() - t2
@@ -240,7 +239,7 @@ def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict,
     lines = [_verdict_line(verdict), f"justification: {verdict.justification}"]
     if verdict.commentary:
         lines.append(f"note: {verdict.commentary}")
-    lines.append("E2 columns: " + ", ".join(str(g) for g in verdict.e2.columns))
+    lines.append("E2 columns: " + ", ".join(str(g) for g in verdict.e2))
     return "\n".join(lines)
 
 

@@ -65,24 +65,22 @@ class ChainComplexError(ValueError):
 class ChainComplex:
     """A finite free chain complex over the integers.
 
-    ``boundaries[p-1]`` is the map from degree ``p`` to degree ``p - 1``
-    and has shape ``ranks[p-1] x ranks[p]``.  ``vertices`` and
-    ``coadjacencies``, when present, are the vertex labels and the ``B_i``
-    of the spec the complex was built from.  Construction checks the
-    shapes, then ``d o d = 0`` (:class:`ChainComplexError`).
+    ``ranks`` lists degrees ``0..length``; ``boundaries[p-1]`` is the map
+    from degree ``p`` to degree ``p - 1`` and has shape
+    ``ranks[p-1] x ranks[p]``.  ``vertices`` and ``coadjacencies``, when
+    present, are the vertex labels and the ``B_i`` of the spec the complex
+    was built from.  Construction checks the shapes, then ``d o d = 0``
+    (:class:`ChainComplexError`).
     """
 
-    length: int
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
     vertices: tuple[str, ...] | None = None
     coadjacencies: tuple[IntMatrix, ...] | None = None
 
     def __post_init__(self):
-        if len(self.ranks) != self.length + 1:
-            raise ValueError("ranks must list degrees 0..length")
-        if len(self.boundaries) != self.length:
-            raise ValueError("boundaries must list degrees 1..length")
+        if len(self.boundaries) != len(self.ranks) - 1:
+            raise ValueError("boundaries must list degrees 1..length, ranks 0..length")
         for p in range(1, self.length + 1):
             b = self.boundaries[p - 1]
             want = (self.ranks[p - 1], self.ranks[p])
@@ -90,6 +88,11 @@ class ChainComplex:
                 raise ValueError(f"boundary {p} has shape {b.shape()}, expected {want}")
         if (witness := differential_product_witness(self)) is not None:
             raise ChainComplexError(*witness)
+
+    @property
+    def length(self) -> int:
+        """The top degree, ``len(ranks) - 1``."""
+        return len(self.ranks) - 1
 
     def boundary(self, p: int) -> IntMatrix:
         """The degree-``p`` boundary, ``1 <= p <= length``."""
@@ -176,4 +179,4 @@ def build_complex(spec: KGraphSpec, *,
         raise ComplexTooLargeError(f"certifying d o d = 0 would take {madds} "
                                    f"multiply-adds, over the limit of {MAX_PRODUCT_MADDS}")
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
-    return ChainComplex(k, ranks, boundaries, spec.vertices, bs)
+    return ChainComplex(ranks, boundaries, spec.vertices, bs)

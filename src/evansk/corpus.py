@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .documents import GraphDocument
 from .intmat import IntMatrix
-from .kgraph import KGraphSpec, monoid_spec, validate
+from .kgraph import MAX_RANK, KGraphSpec, monoid_spec, validate
 
 
 #: The most documents one generator call makes; ``gen monoid --k 6`` would
@@ -51,6 +51,8 @@ def exhaustive_monoid_documents(k: int, m_values: Sequence[int]) -> list[GraphDo
         raise CorpusError(f"would generate {n}^{k} documents, over the limit of {MAX_DOCUMENTS}")
     if any(m < 1 for m in m_values):
         raise CorpusError("loop counts below 1 are not source-free")
+    if k > MAX_RANK:  # with one loop count the budget sees one document
+        raise CorpusError(f"rank must be <= {MAX_RANK}, got {k}")
     return [monoid_document(ms) for ms in itertools.product(m_values, repeat=k)]
 
 
@@ -138,6 +140,8 @@ def random_polynomial_documents(
     for idx in range(count):
         n = rng.randint(1, max_vertices)
         k = rng.randint(1, max_rank)
+        if k > MAX_RANK:  # refused before its k polynomials are made
+            raise CorpusError(f"rank must be <= {MAX_RANK}, got {k}")
         if unimodular_base:
             coeffs = [0] * n
             coeffs[rng.randrange(n)] += 1

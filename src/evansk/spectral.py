@@ -44,9 +44,10 @@ applies:
 3. Otherwise the complex is built and its boundaries go through Smith
    normal form.
 
-Only the third route builds a complex.  The last two stages place the
-groups on the E2 page and apply the rules above to it; rules R2-R4 take
-``g`` as ``D``, the same gcd of the determinants.
+Only the third route builds a complex.  The groups are the E2 page's
+columns, so the page is the ``homology`` tuple itself.  The last stage
+applies the rules above to it; rules R2-R4 take ``g`` as ``D``, the same
+gcd of the determinants.
 """
 
 from __future__ import annotations
@@ -62,19 +63,9 @@ from .intmat import IntMatrix
 from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
 
 
-@dataclass(frozen=True)
-class E2Page:
-    """Homology groups placed in every even row of columns ``0..k``."""
-
-    k: int
-    columns: tuple[AbelianGroup, ...]
-
-    def __post_init__(self):
-        if len(self.columns) != self.k + 1:
-            raise ValueError(f"expected {self.k + 1} homology groups, got {len(self.columns)}")
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "columns": [g.to_dict() for g in self.columns]}
+def e2_dict(columns: Sequence[AbelianGroup]) -> dict:
+    """The JSON form of the E2 page whose columns ``0..k`` are ``columns``."""
+    return {"k": len(columns) - 1, "columns": [g.to_dict() for g in columns]}
 
 
 class VerdictKind(str, Enum):
@@ -88,7 +79,7 @@ class VerdictKind(str, Enum):
 class KTheoryVerdict:
     kind: VerdictKind
     rule: str
-    e2: E2Page
+    e2: tuple[AbelianGroup, ...]
     k0: AbelianGroup | None = None
     k1: AbelianGroup | None = None
     ses: tuple[AbelianGroup, AbelianGroup] | None = None  # (sub, quotient) for K0
@@ -108,7 +99,7 @@ class KTheoryVerdict:
             "rule": self.rule,
             "justification": self.justification,
             "commentary": self.commentary,
-            "e2": self.e2.to_dict(),
+            "e2": e2_dict(self.e2),
         }
 
 
@@ -158,7 +149,7 @@ class Analysis:
     and only when something reads them:
 
     ``validation -> coadjacencies -> determinants -> annihilator -> homology
-    -> page -> verdict``
+    -> verdict``
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
@@ -166,7 +157,8 @@ class Analysis:
     notes): the trivial page when ``annihilator == 1``, then the
     one-vertex Künneth closed form, then the ``complex`` stage and Smith
     normal form.  ``needs_complex`` says whether it reaches the last.
-    ``verdict`` applies the first matching rule to ``page``, its ``e2``.
+    ``verdict`` applies the first matching rule to ``homology``, the E2
+    page's columns, and carries that tuple as its ``e2``.
 
     A stage is a non-data descriptor, so a value assigned before the stage
     is read stands in for it: after ``analysis.homology = hs``,
@@ -213,19 +205,14 @@ class Analysis:
         return tuple(monoid_closed_form(self.determinants))  # one vertex: det B_i = B_i
 
     @_stage
-    def page(self) -> E2Page:
-        return E2Page(self.spec.rank, tuple(self.homology))
-
-    @_stage
     def verdict(self) -> KTheoryVerdict:
-        """The first matching rule of the module notes; it carries ``page``."""
-        k, page = self.spec.rank, self.page
-        hs = page.columns
+        """The first matching rule of the module notes; its ``e2`` is ``homology``."""
+        k, hs = self.spec.rank, self.homology
 
         for i, det in enumerate(self.determinants, start=1):
             if det in (1, -1):
                 return KTheoryVerdict(
-                    kind=VerdictKind.TRIVIAL, rule="R1", e2=page,
+                    kind=VerdictKind.TRIVIAL, rule="R1", e2=hs,
                     k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
                     justification=(
                         f"co-adjacency matrix B{i} is unimodular (det = {det}), "
@@ -238,7 +225,7 @@ class Analysis:
             if g == 0:
                 size = 2 ** (k - 1)
                 return KTheoryVerdict(
-                    kind=VerdictKind.DETERMINED, rule="R2", e2=page,
+                    kind=VerdictKind.DETERMINED, rule="R2", e2=hs,
                     k0=AbelianGroup.free(size), k1=AbelianGroup.free(size),
                     justification=(
                         "single vertex with every co-adjacency zero: the algebra is the "
@@ -247,7 +234,7 @@ class Analysis:
                 )
             if g == 1:
                 return KTheoryVerdict(
-                    kind=VerdictKind.TRIVIAL, rule="R3", e2=page,
+                    kind=VerdictKind.TRIVIAL, rule="R3", e2=hs,
                     k0=TRIVIAL_GROUP, k1=TRIVIAL_GROUP,
                     justification="single vertex with coprime co-adjacency scalars: "
                                   "every E2 entry vanishes",
@@ -255,7 +242,7 @@ class Analysis:
             if k == 3:
                 zg = AbelianGroup.cyclic(g)
                 return KTheoryVerdict(
-                    kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R4", e2=page,
+                    kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R4", e2=hs,
                     k1=AbelianGroup.cyclic(g, 2), ses=(zg, zg),
                     justification=(
                         f"single vertex, rank 3, g = {g}: the page stabilizes with "
@@ -270,14 +257,14 @@ class Analysis:
 
         if k == 1:
             return KTheoryVerdict(
-                kind=VerdictKind.DETERMINED, rule="R5", e2=page,
+                kind=VerdictKind.DETERMINED, rule="R5", e2=hs,
                 k0=hs[0], k1=hs[1],
                 justification="derived collapse: rank 1 leaves single columns in each "
                               "total parity, so K0 = H0 and K1 = H1",
             )
         if k == 2:
             return KTheoryVerdict(
-                kind=VerdictKind.DETERMINED, rule="R6", e2=page,
+                kind=VerdictKind.DETERMINED, rule="R6", e2=hs,
                 k0=hs[0].direct_sum(hs[2]), k1=hs[1],
                 justification="derived collapse: rank 2 admits no later differential, "
                               "and the K0 extension splits because H2 is a kernel, "
@@ -291,18 +278,18 @@ class Analysis:
             )
             if hs[2].is_torsion_free:
                 return KTheoryVerdict(
-                    kind=VerdictKind.DETERMINED, rule="R7", e2=page,
+                    kind=VerdictKind.DETERMINED, rule="R7", e2=hs,
                     k0=hs[0].direct_sum(hs[2]), k1=k1,
                     justification=base + "; the K0 extension splits because H2 is torsion-free",
                 )
             return KTheoryVerdict(
-                kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R7", e2=page,
+                kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R7", e2=hs,
                 k1=k1, ses=(hs[0], hs[2]),
                 justification=base + "; K0 is only known through the extension H0 -> K0 -> H2",
             )
 
         return KTheoryVerdict(
-            kind=VerdictKind.INDETERMINATE, rule="R8", e2=page,
+            kind=VerdictKind.INDETERMINATE, rule="R8", e2=hs,
             justification="no applicable closed form or collapse argument: differentials "
                           "on page 3 and beyond may be nonzero, so only the E2 page is reported",
         )

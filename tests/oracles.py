@@ -145,7 +145,7 @@ def tensor_two(a: ChainComplex, entry: int) -> ChainComplex:
             [IntMatrix.zeros(rank(a, p - 2), rank(a, p)), boundary(a, p - 1)],
         ]
         boundaries.append(block(grid))
-    return ChainComplex(k, ranks, tuple(boundaries))
+    return ChainComplex(ranks, tuple(boundaries))
 
 
 def tensor_monoid_complex(b_values: Sequence[int]) -> ChainComplex:
@@ -153,7 +153,7 @@ def tensor_monoid_complex(b_values: Sequence[int]) -> ChainComplex:
     given scalars, one per coordinate."""
     if not b_values:
         raise ValueError("at least one scalar is required")
-    cc = ChainComplex(1, (1, 1), (IntMatrix(1, 1, [[b_values[0]]]),))
+    cc = ChainComplex((1, 1), (IntMatrix(1, 1, [[b_values[0]]]),))
     for b in b_values[1:]:
         cc = tensor_two(cc, b)
     return cc

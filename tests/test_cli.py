@@ -31,7 +31,7 @@ from evansk.kgraph import (
     spec_from_matrices,
     validate,
 )
-from evansk.spectral import Analysis, E2Page, k_theory_verdict
+from evansk.spectral import Analysis, k_theory_verdict
 
 NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
 
@@ -316,6 +316,19 @@ def test_rank_over_limit_refused_quickly(tmp_path):
         assert proc.stderr == f"error: {path}: rank must be <= {MAX_RANK}, got 15000\n"
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["gen", "monoid", "--k", "100000000", "--m-min", "1", "--m-max", "1"], 100_000_000),
+    (["gen", "polynomial-family", "--count", "1", "--seed", "3", "--max-rank", "100000000"],
+     79_542_917),  # the rank seed 3 draws
+])
+def test_gen_rank_over_limit_refused_in_bounded_memory(argv, k):
+    # The monoid tuple would not fit in 1 GB, and the polynomial family
+    # would make its k polynomials first.
+    proc = _run_limited(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: rank must be <= {MAX_RANK}, got {k}\n"
+
+
 def test_slow_product_refused_before_assembly(tmp_path):
     # [3] * 11 has 213 444-cell boundaries, but its d o d check would take
     # about 2e8 multiply-adds; one degree of output does not change that.
@@ -329,7 +342,7 @@ def test_slow_product_refused_before_assembly(tmp_path):
 
 
 def test_torsion_entries_estimate():
-    page = k_theory_verdict(monoid_document([3] * 30).spec).e2.columns
+    page = k_theory_verdict(monoid_document([3] * 30).spec).e2
     assert torsion_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
     assert torsion_entries([AbelianGroup(3, (2, 4, 4)), AbelianGroup.free(2)]) == 3
     for doc in random_polynomial_documents(200, seed=1):
@@ -386,7 +399,7 @@ def _assert_verdict_parity(spec, path) -> None:
     assert status == 0
     groups = homology(build_complex(spec))
     assert report["homology"] == [g.to_dict() for g in groups]
-    assert report["e2"] == Analysis(spec).page.to_dict()
+    assert report["e2"] == {"k": spec.rank, "columns": report["homology"]}
     assert report["verdict"] == k_theory_verdict(spec).to_dict()
 
 
@@ -403,18 +416,19 @@ def test_verdict_report_matches_library_when_invalid(tmp_path):
 
 
 def test_verdict_report_builds_one_page(monoid_file, monkeypatch, capsys):
-    pages = []
-    post_init = E2Page.__post_init__
+    stage = Analysis.homology  # the descriptor: no instance to run it on
+    run_stage, runs = stage.fn, []
 
-    def counted(self):
-        pages.append(self)
-        post_init(self)
+    def counted(analysis):
+        runs.append(run_stage(analysis))
+        return runs[-1]
 
-    monkeypatch.setattr(E2Page, "__post_init__", counted)
+    monkeypatch.setattr(stage, "fn", counted)
     assert main(["verdict", monoid_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert len(pages) == 1
-    assert report["e2"] == report["verdict"]["e2"] == pages[0].to_dict()
+    assert len(runs) == 1
+    assert report["e2"] == report["verdict"]["e2"]
+    assert report["e2"] == {"k": 3, "columns": [g.to_dict() for g in runs[0]]}
 
 
 def _count_calls(monkeypatch, fn) -> list:

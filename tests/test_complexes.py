@@ -173,12 +173,12 @@ def test_non_commuting_negative_control_breaks_complex_axiom():
 
 
 def test_chain_complex_shape_validation():
-    with pytest.raises(ValueError):
-        ChainComplex(1, (1, 1), ())
-    with pytest.raises(ValueError):
-        ChainComplex(1, (1,), (IntMatrix.zeros(1, 1),))
-    with pytest.raises(ValueError):
-        ChainComplex(1, (1, 1), (IntMatrix.zeros(2, 1),))
+    with pytest.raises(ValueError, match="boundaries must list degrees 1..length"):
+        ChainComplex((1, 1), ())
+    with pytest.raises(ValueError, match="boundaries must list degrees 1..length"):
+        ChainComplex((1,), (IntMatrix.zeros(1, 1),))
+    with pytest.raises(ValueError, match=r"boundary 1 has shape \(2, 1\), expected \(1, 1\)"):
+        ChainComplex((1, 1), (IntMatrix.zeros(2, 1),))
 
 
 def test_boundary_end_maps():
@@ -249,7 +249,7 @@ def error_fields(err: ChainComplexError) -> tuple[int, int, int, int]:
 def test_constructor_rejects_non_complex():
     # No ChainComplex holds maps with d_1 d_2 = [[1]], so homology never sees them.
     with pytest.raises(ChainComplexError) as info:
-        ChainComplex(2, (1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])))
+        ChainComplex((1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])))
     assert error_fields(info.value) == (1, 0, 0, 1)
     assert list(inspect.signature(homology).parameters) == ["cc"]
 
@@ -267,7 +267,7 @@ def test_witness_matches_dense_scan_on_non_commuting_control():
     spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     bs = (build_differential_direct(spec, 1), build_differential_direct(spec, 2))
     with pytest.raises(ChainComplexError) as info:
-        ChainComplex(2, (2, 4, 2), bs)
+        ChainComplex((2, 4, 2), bs)
     assert error_fields(info.value) == dense_product_witness(bs)
 
 
@@ -281,7 +281,7 @@ def boundary_maps(draw):
                   [[draw(entries) for _ in range(ranks[p])] for _ in range(ranks[p - 1])])
         for p in range(1, length + 1)
     )
-    return length, ranks, boundaries
+    return ranks, boundaries
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,10 +290,10 @@ def test_witness_matches_dense_scan_on_arbitrary_boundaries(maps):
     # Random boundaries rarely square to zero: the constructor must refuse
     # them at the dense scan's first (p, r, c, value), in degree, then
     # row-major, order, and accept exactly the maps the scan passes.
-    length, ranks, boundaries = maps
+    ranks, boundaries = maps
     witness = dense_product_witness(boundaries)
     try:
-        ChainComplex(length, ranks, boundaries)
+        ChainComplex(ranks, boundaries)
     except ChainComplexError as err:
         assert error_fields(err) == witness
     else:

@@ -12,6 +12,7 @@ from evansk.corpus import (
     random_polynomial_documents,
 )
 from evansk.intmat import IntMatrix
+from evansk.kgraph import MAX_RANK, StructuralError, monoid_spec
 
 
 def test_monoid_document_naming():
@@ -56,6 +57,33 @@ def test_document_budget_checked_from_the_estimate(monkeypatch):
 
     monkeypatch.setattr(corpus, "monoid_document", lambda ms: ms)
     assert len(exhaustive_monoid_documents(5, range(1, 11))) == MAX_DOCUMENTS == 10**5
+
+
+def test_rank_over_limit_refused_before_generating(monkeypatch):
+    # One loop count passes the document budget, and --max-rank only bounds
+    # the draw; a rank over MAX_RANK is refused before any matrix is made,
+    # with the message KGraphSpec gives, and the earlier checks come first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank is checked before generating")
+
+    monkeypatch.setattr(corpus, "monoid_document", refuse)
+    monkeypatch.setattr(corpus, "evaluate_polynomial", refuse)
+    with pytest.raises(StructuralError) as spec_exc:
+        monoid_spec([1] * 1001)
+    with pytest.raises(CorpusError) as exc:
+        exhaustive_monoid_documents(1001, [1])
+    assert str(exc.value) == str(spec_exc.value) == f"rank must be <= {MAX_RANK}, got 1001"
+    with pytest.raises(CorpusError, match="^rank must be <= 1000, got 100000000$"):
+        exhaustive_monoid_documents(10**8, [1])
+    with pytest.raises(CorpusError, match="^loop counts below 1 "):
+        exhaustive_monoid_documents(10**8, [0])
+    with pytest.raises(CorpusError, match="^would generate 2"):
+        exhaustive_monoid_documents(10**8, [1, 2])
+    with pytest.raises(CorpusError, match="^rank must be <= 1000, got 79542917$"):
+        random_polynomial_documents(1, seed=3, max_rank=10**8)
+
+    monkeypatch.setattr(corpus, "monoid_document", lambda ms: ms)
+    assert exhaustive_monoid_documents(MAX_RANK, [1]) == [(1,) * MAX_RANK]
 
 
 def test_polynomial_family_example():

@@ -8,7 +8,6 @@ from evansk import (
     TRIVIAL_GROUP,
     AbelianGroup,
     Analysis,
-    E2Page,
     IntMatrix,
     SpecValidationError,
     VerdictKind,
@@ -33,16 +32,8 @@ Z3 = AbelianGroup.cyclic(3)
 
 def test_page_from_monoid_rank3():
     groups = homology(build_complex(monoid_spec([3, 5, 7])))
-    page = E2Page(3, tuple(groups))
-    assert [str(g) for g in page.columns] == ["Z2", "Z2^2", "Z2", "0"]
-    assert Analysis(monoid_spec([3, 5, 7])).page == page
-
-
-def test_page_length_mismatch():
-    with pytest.raises(ValueError, match="expected 4 homology groups, got 1"):
-        E2Page(3, (Z2,))
-    with pytest.raises(ValueError):
-        E2Page(1, (Z2, Z2, Z2))
+    assert [str(g) for g in groups] == ["Z2", "Z2^2", "Z2", "0"]
+    assert Analysis(monoid_spec([3, 5, 7])).homology == tuple(groups)
 
 
 @pytest.mark.parametrize("spec", [
@@ -51,13 +42,12 @@ def test_page_length_mismatch():
 ])
 def test_verdict_carries_the_page_stage(spec):
     analysis = Analysis(spec)
-    assert analysis.verdict.e2 is analysis.page
+    assert analysis.verdict.e2 is analysis.homology
 
 
 def test_trivial_monoid_rank2_page():
     groups = homology(build_complex(monoid_spec([1, 1])))
-    page = E2Page(2, tuple(groups))
-    assert [g.free_rank for g in page.columns] == [1, 2, 1]
+    assert [g.free_rank for g in groups] == [1, 2, 1]
 
 
 def test_closed_form_examples():
@@ -92,7 +82,7 @@ def test_verdict_r1_unimodular():
     v = k_theory_verdict(spec)
     assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, "R1")
     assert v.k0 == TRIVIAL_GROUP and v.k1 == TRIVIAL_GROUP
-    assert all(g.is_trivial for g in v.e2.columns)
+    assert all(g.is_trivial for g in v.e2)
 
 
 def test_verdict_r2_trivial_monoid():
@@ -119,7 +109,7 @@ def test_verdict_r4_monoid_rank3():
     assert v.k1 == AbelianGroup(0, (2, 2))
     assert v.ses == (Z2, Z2)
     assert v.k0 is None
-    assert [str(g) for g in v.e2.columns] == ["Z2", "Z2^2", "Z2", "0"]
+    assert [str(g) for g in v.e2] == ["Z2", "Z2^2", "Z2", "0"]
     assert "Z4" in v.commentary and "Z2^2" in v.commentary
     v = k_theory_verdict(monoid_spec([1, 1, 7]))  # B = (0, 0, -6): g = 6
     z6 = AbelianGroup.cyclic(6)
@@ -167,13 +157,13 @@ def test_verdict_r8_indeterminate():
     v = k_theory_verdict(spec_from_matrices([s, s, s]))
     assert (v.kind, v.rule) == (VerdictKind.INDETERMINATE, "R8")
     assert v.k0 is None and v.k1 is None and v.ses is None
-    assert [g.free_rank for g in v.e2.columns] == [1, 3, 3, 1]
+    assert [g.free_rank for g in v.e2] == [1, 3, 3, 1]
 
 
 def test_verdict_rank4_monoid_nontrivial_is_indeterminate():
     v = k_theory_verdict(monoid_spec([3, 5, 7, 9]))
     assert (v.kind, v.rule) == (VerdictKind.INDETERMINATE, "R8")
-    assert [str(g) for g in v.e2.columns] == ["Z2", "Z2^3", "Z2^3", "Z2", "0"]
+    assert [str(g) for g in v.e2] == ["Z2", "Z2^3", "Z2^3", "Z2", "0"]
 
 
 @pytest.mark.parametrize("ms", [(3, 5, 7), (3, 3, 9), (5, 5, 5), (5, 9, 13)])
@@ -327,7 +317,7 @@ def test_rank_30_vanishing_builds_no_complex(ms, rule, monkeypatch):
     monkeypatch.setattr(spectral, "build_complex", refuse)
     v = k_theory_verdict(monoid_spec(ms))
     assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, rule)
-    assert v.e2.columns == (TRIVIAL_GROUP,) * 31
+    assert v.e2 == (TRIVIAL_GROUP,) * 31
 
 
 @settings(max_examples=120, deadline=None)
@@ -355,4 +345,4 @@ def test_rank_30_one_vertex_page_builds_no_complex(ms, rule, column, monkeypatch
     monkeypatch.setattr(spectral, "build_complex", refuse)
     v = k_theory_verdict(monoid_spec(ms))
     assert v.rule == rule
-    assert v.e2.columns == tuple(column(p) for p in range(31))
+    assert v.e2 == tuple(column(p) for p in range(31))
