@@ -15,11 +15,8 @@ it to a file.  The JSON report has the same schema for every subcommand,
 with unused sections null; each report formats the stages of one
 :class:`~evansk.spectral.Analysis`.  Exit status: 0 success, 1 validation
 failure, 2 parse/structural/usage error (``--degree`` is checked before
-assembly) or an input over a size limit (a rank over ``MAX_RANK``, a
-complex over ``MAX_BOUNDARY_CELLS`` cells per boundary or
-``MAX_PRODUCT_MADDS`` for its ``d o d`` check, a JSON page over
-``MAX_REPORT_TORSION`` torsion entries, a ``gen`` run over
-``MAX_DOCUMENTS`` documents), 141 when the reader closes stdout early.
+assembly) or an input over a size limit of :mod:`evansk.limits`, 141 when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ import sys
 import time
 from pathlib import Path
 
-from .complexes import ChainComplex, ComplexTooLargeError
+from . import limits
+from .complexes import ChainComplex
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
 from .kgraph import StructuralError
@@ -41,18 +39,8 @@ from .render import render_differential
 from .spectral import Analysis, e2_dict
 
 
-#: The most torsion entries a JSON report lists per page; a text report
-#: prints each run of equal orders as one power and has no limit.
-MAX_REPORT_TORSION = 10**6
-
-
 class ReportError(ValueError):
-    """A ``--degree`` out of range, or a JSON page over ``MAX_REPORT_TORSION``."""
-
-
-def torsion_entries(groups) -> int:
-    """Torsion entries of ``groups`` once expanded, as a JSON report lists them."""
-    return sum(m for g in groups for _, m in g.runs)
+    """A ``--degree`` out of range."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
               open(os.devnull, "w") as devnull):  # quiet the flush at exit too
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE: what a shell reports for a C tool in the same pipe
-    except (DocumentError, StructuralError, CorpusError, ComplexTooLargeError, ReportError,
+    except (DocumentError, StructuralError, CorpusError, limits.LimitError, ReportError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -219,11 +207,7 @@ def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict,
     groups = analysis.homology
     timings["homology"] = time.perf_counter() - t1
     if fmt == "json":  # a text report never expands the torsion
-        entries = torsion_entries(groups)
-        if entries > MAX_REPORT_TORSION:
-            raise ReportError(f"the JSON report would list {entries} torsion entries "
-                              f"per page, over the limit of {MAX_REPORT_TORSION}; "
-                              "--format text prints them as powers")
+        limits.check_report(groups)
         out["homology"] = [g.to_dict() for g in groups]
         out["e2"] = e2_dict(groups)
     if command == "homology":

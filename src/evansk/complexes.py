@@ -33,19 +33,10 @@ from dataclasses import dataclass
 from math import comb
 from collections.abc import Sequence
 
+from . import limits
 from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, coadjacencies, require_valid
-
-
-#: The most cells a dense boundary may have; :func:`build_complex` refuses more.
-MAX_BOUNDARY_CELLS = 10**7
-#: The most multiply-adds the ``d o d = 0`` check may take; :func:`build_complex` refuses more.
-MAX_PRODUCT_MADDS = 10**8
-
-
-class ComplexTooLargeError(ValueError):
-    """The dense boundaries, or their products, would exceed a size limit."""
 
 
 class ChainComplexError(ValueError):
@@ -130,11 +121,6 @@ def _from_pattern(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
     return IntMatrix._raw(rows, cols, tuple(map(tuple, data)))
 
 
-def boundary_cells(k: int, n: int) -> int:
-    """Cells of the largest dense boundary of a rank-``k`` complex on ``n`` vertices."""
-    return max(comb(k, p - 1) * comb(k, p) for p in range(1, k + 1)) * n * n
-
-
 def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
     """Boundary of degree ``p``, filled in from the signed-deletion pattern.
 
@@ -157,26 +143,14 @@ def build_complex(spec: KGraphSpec, *,
     any convention bug fails loudly at build time.  The complex carries
     the ``B_i`` it was built from.  A caller that has already validated
     the spec passes its co-adjacency matrices as ``bs``; they are then
-    used as given, and the spec is not validated again.  A complex whose
-    largest boundary would have more than :data:`MAX_BOUNDARY_CELLS`
-    cells, or whose products would take more than
-    :data:`MAX_PRODUCT_MADDS` multiply-adds, raises
-    :class:`ComplexTooLargeError` before anything is assembled.
+    used as given, and the spec is not validated again.  A complex over a limit
+    of :mod:`evansk.limits` raises ``LimitError`` before anything is assembled.
     """
     if bs is None:
         require_valid(spec)
         bs = coadjacencies(spec)
     k, n = spec.rank, spec.num_vertices
-    cells = boundary_cells(k, n)
-    if cells > MAX_BOUNDARY_CELLS:
-        raise ComplexTooLargeError(
-            f"the largest boundary would have {cells} dense cells, "
-            f"over the limit of {MAX_BOUNDARY_CELLS}"
-        )
+    limits.check_complex(k, n)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
-    madds = sum(ranks[p - 1] * ranks[p] * ranks[p + 1] for p in range(1, k))
-    if madds > MAX_PRODUCT_MADDS:
-        raise ComplexTooLargeError(f"certifying d o d = 0 would take {madds} "
-                                   f"multiply-adds, over the limit of {MAX_PRODUCT_MADDS}")
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
     return ChainComplex(ranks, boundaries, spec.vertices, bs)

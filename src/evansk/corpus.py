@@ -20,19 +20,14 @@ import itertools
 import random
 from collections.abc import Sequence
 
+from . import limits
 from .documents import GraphDocument
 from .intmat import IntMatrix
-from .kgraph import MAX_RANK, KGraphSpec, monoid_spec, validate
-
-
-#: The most documents one generator call makes; ``gen monoid --k 6`` would
-#: make 531 441 and run out of memory before it wrote any.
-MAX_DOCUMENTS = 10**5
+from .kgraph import KGraphSpec, monoid_spec, validate
 
 
 class CorpusError(ValueError):
-    """Generator parameters produce an invalid spec or too many documents;
-    the message carries a witness."""
+    """Generator parameters produce an invalid spec; the message carries a witness."""
 
 
 def monoid_document(ms: Sequence[int], name: str | None = None) -> GraphDocument:
@@ -45,14 +40,10 @@ def exhaustive_monoid_documents(k: int, m_values: Sequence[int]) -> list[GraphDo
     """All rank-``k`` single-vertex specs with loop counts from ``m_values``."""
     if k < 1:
         raise CorpusError(f"rank must be >= 1, got {k}")
-    n = len(m_values)
-    # k may be huge; for n >= 2, n ** b passes the limit already (2 ** b > MAX_DOCUMENTS).
-    if n ** min(k, MAX_DOCUMENTS.bit_length()) > MAX_DOCUMENTS:
-        raise CorpusError(f"would generate {n}^{k} documents, over the limit of {MAX_DOCUMENTS}")
+    limits.check_documents(len(m_values), k)
     if any(m < 1 for m in m_values):
         raise CorpusError("loop counts below 1 are not source-free")
-    if k > MAX_RANK:  # with one loop count the budget sees one document
-        raise CorpusError(f"rank must be <= {MAX_RANK}, got {k}")
+    limits.check_spec(k, 1)  # with one loop count the budget sees one document
     return [monoid_document(ms) for ms in itertools.product(m_values, repeat=k)]
 
 
@@ -132,16 +123,14 @@ def random_polynomial_documents(
             "need count >= 0, max-vertices >= 1 and max-rank >= 1, got "
             f"{count}, {max_vertices} and {max_rank}"
         )
-    if count > MAX_DOCUMENTS:
-        raise CorpusError(f"would generate {count} documents, over the limit of {MAX_DOCUMENTS}")
+    limits.check_documents(count)
     rng = random.Random(seed)
     prefix = "poly-uni" if unimodular_base else "poly"
     docs = []
     for idx in range(count):
         n = rng.randint(1, max_vertices)
         k = rng.randint(1, max_rank)
-        if k > MAX_RANK:  # refused before its k polynomials are made
-            raise CorpusError(f"rank must be <= {MAX_RANK}, got {k}")
+        limits.check_spec(k, n)  # refused before any entry is drawn
         if unimodular_base:
             coeffs = [0] * n
             coeffs[rng.randrange(n)] += 1

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, StructuralError
+from .limits import LimitError
 
 
 class DocumentError(ValueError):
@@ -67,7 +68,7 @@ def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocum
         mats.append(IntMatrix._raw(n, n, tuple(map(tuple, rows))))  # checked above
     try:
         spec = KGraphSpec(rank=k, vertices=tuple(vertices), adjacency=tuple(mats))
-    except StructuralError as exc:
+    except (StructuralError, LimitError) as exc:
         raise DocumentError(f"{source}: {exc}") from exc
     return GraphDocument(spec=spec, name=name)
 

@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from . import limits
 from .intmat import IntMatrix
-
-
-#: The largest rank a spec may have (validation compares every pair of coordinates).
-MAX_RANK = 1000
 
 
 class StructuralError(ValueError):
@@ -80,9 +77,8 @@ class KGraphSpec:
     def __post_init__(self):
         if self.rank < 1:
             raise StructuralError(f"rank must be >= 1, got {self.rank}")
-        if self.rank > MAX_RANK:
-            raise StructuralError(f"rank must be <= {MAX_RANK}, got {self.rank}")
         n = len(self.vertices)
+        limits.check_spec(self.rank, n)
         if n < 1:
             raise StructuralError("at least one vertex is required")
         if len(self.adjacency) != self.rank:

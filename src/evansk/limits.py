@@ -1,0 +1,66 @@
+"""Every size limit, each checked from an estimate before the work it guards.
+
+A rank-``k`` complex on ``n`` vertices has ``C(k, p) * n`` generators in degree ``p``, so each
+estimate is known before work starts.  Checks read these globals when run; no flag lifts one."""
+
+from math import comb
+
+MAX_RANK = 1000  # validation compares every pair of coordinates
+MAX_PRODUCT_MADDS = 10**8  # multiply-adds of a spec's own work, or of a d o d = 0 check
+MAX_BOUNDARY_CELLS = 10**7  # cells of one dense boundary
+MAX_REPORT_TORSION = 10**6  # torsion entries per JSON page; a text page prints powers
+MAX_DOCUMENTS = 10**5  # documents per generator call
+
+
+class LimitError(ValueError):
+    """An input over a size limit; the message gives the estimate and the limit."""
+
+
+def _check(amount: int, limit: int, what: str, hint: str = "") -> None:
+    if amount > limit:
+        raise LimitError(f"{what}, over the limit of {limit}{hint}")
+
+
+def spec_madds(k: int, n: int) -> int:
+    """Bounds validation's products (``k(k-1) n^3`` when ``n > 1``) plus ``k`` determinants."""
+    return k * k * n ** 3
+
+
+def dense_cells(k: int, n: int) -> int:
+    """Cells of the largest dense boundary of a rank-``k`` complex on ``n`` vertices."""
+    return max(comb(k, p - 1) * comb(k, p) for p in range(1, k + 1)) * n * n
+
+
+def report_entries(groups) -> int:
+    """Torsion entries of ``groups`` once expanded, as a JSON report lists them."""
+    return sum(m for g in groups for _, m in g.runs)
+
+
+def check_spec(k: int, n: int) -> None:
+    if k > MAX_RANK:  # first: the work of a huge rank is huge at any n
+        raise LimitError(f"rank must be <= {MAX_RANK}, got {k}")
+    madds = spec_madds(k, n)
+    _check(madds, MAX_PRODUCT_MADDS,
+           f"the spec's validation and determinants would take {madds} multiply-adds")
+
+
+def check_complex(k: int, n: int) -> None:
+    cells = dense_cells(k, n)
+    _check(cells, MAX_BOUNDARY_CELLS, f"the largest boundary would have {cells} dense cells")
+    madds = sum(comb(k, p - 1) * comb(k, p) * comb(k, p + 1) for p in range(1, k)) * n ** 3
+    _check(madds, MAX_PRODUCT_MADDS, f"certifying d o d = 0 would take {madds} multiply-adds")
+
+
+def check_report(groups) -> None:
+    entries = report_entries(groups)
+    _check(entries, MAX_REPORT_TORSION,
+           f"the JSON report would list {entries} torsion entries per page",
+           "; --format text prints them as powers")
+
+
+def check_documents(values: int, k: int | None = None) -> None:
+    """``values`` documents, or ``values ** k``; for ``values >= 2`` a capped ``k`` passes."""
+    if k is None:
+        return _check(values, MAX_DOCUMENTS, f"would generate {values} documents")
+    _check(values ** min(k, MAX_DOCUMENTS.bit_length()), MAX_DOCUMENTS,
+           f"would generate {values}^{k} documents")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -12,25 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 import evansk
 from evansk import dumps_document, loads_documents
-from evansk import cli, corpus, spectral
-from evansk.cli import MAX_REPORT_TORSION, main, torsion_entries
-from evansk.complexes import (
-    MAX_BOUNDARY_CELLS,
-    MAX_PRODUCT_MADDS,
-    build_complex,
-    differential_product_witness,
-)
+from evansk import corpus, limits, spectral
+from evansk.cli import main
+from evansk.complexes import build_complex, differential_product_witness
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import AbelianGroup, homology
 from evansk.intmat import IntMatrix
 from evansk.kgraph import (
-    MAX_RANK,
     SpecValidationError,
     coadjacencies,
     spec_from_matrices,
     validate,
 )
+from evansk.limits import MAX_BOUNDARY_CELLS, MAX_PRODUCT_MADDS, MAX_RANK, MAX_REPORT_TORSION
 from evansk.spectral import Analysis, k_theory_verdict
 
 NON_COMMUTING = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
@@ -341,19 +337,54 @@ def test_slow_product_refused_before_assembly(tmp_path):
                            f"over the limit of {MAX_PRODUCT_MADDS}\n")
 
 
+def test_many_vertex_document_refused_when_read(tmp_path):
+    # Validation's pairwise products and the determinants would take about
+    # k^2 n^3 = 8.64e8 multiply-adds; the refusal comes before either.
+    path = tmp_path / "v600.json"
+    doc = {"k": 2, "vertices": [f"v{i}" for i in range(600)], "adjacency": [[[1] * 600] * 600] * 2}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "complex", "homology", "e2", "verdict"):
+        proc = _run_limited([command, str(path)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path}: the spec's validation and determinants would "
+                               f"take {4 * 600 ** 3} multiply-adds, over the limit of "
+                               f"{MAX_PRODUCT_MADDS}\n")
+
+
+def test_gen_vertices_over_limit_refused_in_bounded_memory():
+    # Seed 3 draws n = 31 191 and k = 2: the base matrix alone would have
+    # about 10^9 entries, drawn one by one.
+    proc = _run_limited(["gen", "polynomial-family", "--count", "1", "--seed", "3",
+                         "--max-vertices", "100000"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: the spec's validation and determinants would take "
+                           f"{4 * 31_191 ** 3} multiply-adds, over the limit of "
+                           f"{MAX_PRODUCT_MADDS}\n")
+
+
+def test_only_limits_module_holds_limits():
+    # Every size limit and every "over the limit" message lives in evansk.limits.
+    holders = set()
+    for path in Path(evansk.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if re.search(r"^MAX_[A-Z_]+ *=", text, re.M) or "over the limit of" in text:
+            holders.add(path.name)
+    assert holders == {"limits.py"}
+
+
 def test_torsion_entries_estimate():
     page = k_theory_verdict(monoid_document([3] * 30).spec).e2
-    assert torsion_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
-    assert torsion_entries([AbelianGroup(3, (2, 4, 4)), AbelianGroup.free(2)]) == 3
+    assert limits.report_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
+    assert limits.report_entries([AbelianGroup(3, (2, 4, 4)), AbelianGroup.free(2)]) == 3
     for doc in random_polynomial_documents(200, seed=1):
         hs = homology(build_complex(doc.spec))
-        assert torsion_entries(hs) == sum(len(g.torsion) for g in hs) < 1000
+        assert limits.report_entries(hs) == sum(len(g.torsion) for g in hs) < 1000
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_report_torsion_limit_boundary(fmt, tmp_path, monkeypatch, capsys):
     # [3, 5, 7] lists 4 torsion entries per page, [3, 5, 7, 9] lists 8.
-    monkeypatch.setattr(cli, "MAX_REPORT_TORSION", 4)
+    monkeypatch.setattr(limits, "MAX_REPORT_TORSION", 4)
     for ms, status in (([3, 5, 7], 0), ([3, 5, 7, 9], 2 if fmt == "json" else 0)):
         path = tmp_path / "m.json"
         path.write_text(dumps_document(monoid_document(ms)), encoding="utf-8")

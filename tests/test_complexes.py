@@ -22,13 +22,8 @@ from evansk import (
     monoid_spec,
     spec_from_matrices,
 )
-from evansk.complexes import (
-    MAX_BOUNDARY_CELLS,
-    MAX_PRODUCT_MADDS,
-    ComplexTooLargeError,
-    boundary_cells,
-)
 from evansk.corpus import random_polynomial_documents
+from evansk.limits import MAX_BOUNDARY_CELLS, MAX_PRODUCT_MADDS, LimitError, dense_cells
 
 import oracles
 from oracles import (
@@ -303,16 +298,16 @@ def test_witness_matches_dense_scan_on_arbitrary_boundaries(maps):
 def test_boundary_cells_estimate():
     for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7):
         cc = build_complex(monoid_spec(ms))
-        assert boundary_cells(len(ms), 1) == max(b.rows * b.cols for b in cc.boundaries)
+        assert dense_cells(len(ms), 1) == max(b.rows * b.cols for b in cc.boundaries)
     for doc in random_polynomial_documents(10, seed=7):
         cc = build_complex(doc.spec)
-        assert boundary_cells(cc.length, len(cc.vertices)) == max(
+        assert dense_cells(cc.length, len(cc.vertices)) == max(
             b.rows * b.cols for b in cc.boundaries)
     # cyclic-large's largest boundary is 120 x 160; loop counts [2] + [3]*29
     # would need C(30, 14) * C(30, 15) cells in degree 15.
-    assert boundary_cells(6, 8) == 120 * 160
-    assert boundary_cells(6, 8) * 500 < MAX_BOUNDARY_CELLS
-    assert boundary_cells(30, 1) == comb(30, 14) * comb(30, 15) > MAX_BOUNDARY_CELLS
+    assert dense_cells(6, 8) == 120 * 160
+    assert dense_cells(6, 8) * 500 < MAX_BOUNDARY_CELLS
+    assert dense_cells(30, 1) == comb(30, 14) * comb(30, 15) > MAX_BOUNDARY_CELLS
 
 
 def test_build_complex_refuses_over_budget(monkeypatch):
@@ -320,13 +315,13 @@ def test_build_complex_refuses_over_budget(monkeypatch):
         raise AssertionError("nothing is assembled over budget")
 
     monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
-    with pytest.raises(ComplexTooLargeError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
+    with pytest.raises(LimitError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
         build_complex(monoid_spec([2] + [3] * 29))
     # [3] * 11 fits the cell budget (C(11, 5) * C(11, 6) = 213 444 cells),
     # but its products take sum C(11, p-1) C(11, p) C(11, p+1) multiply-adds.
     madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
-    assert boundary_cells(11, 1) < MAX_BOUNDARY_CELLS < MAX_PRODUCT_MADDS < madds
-    with pytest.raises(ComplexTooLargeError) as info:
+    assert dense_cells(11, 1) < MAX_BOUNDARY_CELLS < MAX_PRODUCT_MADDS < madds
+    with pytest.raises(LimitError) as info:
         build_complex(monoid_spec([3] * 11))
     assert str(info.value) == (f"certifying d o d = 0 would take {madds} multiply-adds, "
                                f"over the limit of {MAX_PRODUCT_MADDS}")
@@ -348,10 +343,10 @@ def test_product_madds_limit_is_exact(monkeypatch):
     specs = [monoid_spec(ms) for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7)]
     specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
     for spec, madds in [(spec, product_madds(build_complex(spec))) for spec in specs]:
-        monkeypatch.setattr("evansk.complexes.MAX_PRODUCT_MADDS", madds)
+        monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds)
         build_complex(spec)
-        monkeypatch.setattr("evansk.complexes.MAX_PRODUCT_MADDS", madds - 1)
-        with pytest.raises(ComplexTooLargeError, match=f"would take {madds} multiply-adds"):
+        monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds - 1)
+        with pytest.raises(LimitError, match=f"would take {madds} multiply-adds"):
             build_complex(spec)
 
 

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from evansk import corpus, dumps_documents, validate
 from evansk.corpus import (
-    MAX_DOCUMENTS,
     CorpusError,
     companion_matrix,
     evaluate_polynomial,
@@ -12,7 +13,8 @@ from evansk.corpus import (
     random_polynomial_documents,
 )
 from evansk.intmat import IntMatrix
-from evansk.kgraph import MAX_RANK, StructuralError, monoid_spec
+from evansk.kgraph import monoid_spec
+from evansk.limits import MAX_DOCUMENTS, MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
 
 def test_monoid_document_naming():
@@ -49,10 +51,10 @@ def test_document_budget_checked_from_the_estimate(monkeypatch):
         (10**12, range(1, 10), "9^1000000000000"),  # no huge power is computed
         (1, range(1, 10**12), "999999999999^1"),  # no loop count is scanned
     ]:
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(LimitError) as exc:
             exhaustive_monoid_documents(k, values)
         assert str(exc.value) == f"would generate {estimate} documents, over the limit of 100000"
-    with pytest.raises(CorpusError, match="^would generate 100001 documents, over the limit "):
+    with pytest.raises(LimitError, match="^would generate 100001 documents, over the limit "):
         random_polynomial_documents(MAX_DOCUMENTS + 1, seed=1)
 
     monkeypatch.setattr(corpus, "monoid_document", lambda ms: ms)
@@ -68,22 +70,42 @@ def test_rank_over_limit_refused_before_generating(monkeypatch):
 
     monkeypatch.setattr(corpus, "monoid_document", refuse)
     monkeypatch.setattr(corpus, "evaluate_polynomial", refuse)
-    with pytest.raises(StructuralError) as spec_exc:
+    with pytest.raises(LimitError) as spec_exc:
         monoid_spec([1] * 1001)
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(LimitError) as exc:
         exhaustive_monoid_documents(1001, [1])
     assert str(exc.value) == str(spec_exc.value) == f"rank must be <= {MAX_RANK}, got 1001"
-    with pytest.raises(CorpusError, match="^rank must be <= 1000, got 100000000$"):
+    with pytest.raises(LimitError, match="^rank must be <= 1000, got 100000000$"):
         exhaustive_monoid_documents(10**8, [1])
     with pytest.raises(CorpusError, match="^loop counts below 1 "):
         exhaustive_monoid_documents(10**8, [0])
-    with pytest.raises(CorpusError, match="^would generate 2"):
+    with pytest.raises(LimitError, match="^would generate 2"):
         exhaustive_monoid_documents(10**8, [1, 2])
-    with pytest.raises(CorpusError, match="^rank must be <= 1000, got 79542917$"):
+    with pytest.raises(LimitError, match="^rank must be <= 1000, got 79542917$"):
         random_polynomial_documents(1, seed=3, max_rank=10**8)
 
     monkeypatch.setattr(corpus, "monoid_document", lambda ms: ms)
     assert exhaustive_monoid_documents(MAX_RANK, [1]) == [(1,) * MAX_RANK]
+
+
+def test_vertices_over_limit_refused_before_drawing_entries(monkeypatch):
+    # --max-vertices 100000 with seed 3 draws n = 31 191 and k = 2; the spec
+    # check sees them before any of the ~10^9 base entries is drawn, and it
+    # draws no number itself, so every corpus that passes is unchanged.
+    draws = []
+
+    class Counted(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(corpus.random, "Random", Counted)
+    with pytest.raises(LimitError) as info:
+        random_polynomial_documents(1, seed=3, max_vertices=100_000)
+    assert draws == [(1, 100_000), (1, 4)]
+    assert str(info.value) == (f"the spec's validation and determinants would take "
+                               f"{4 * 31_191 ** 3} multiply-adds, over the limit of "
+                               f"{MAX_PRODUCT_MADDS}")
 
 
 def test_polynomial_family_example():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,9 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk.kgraph import MAX_RANK
+from evansk import kgraph, limits
+from evansk.corpus import random_polynomial_documents
+from evansk.limits import MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
 from oracles import commutation_witnesses, permute_coordinates
 
@@ -89,8 +93,58 @@ def test_structural_errors():
     with pytest.raises(StructuralError):
         monoid_spec([])
     assert 30 <= MAX_RANK == monoid_spec([3] * MAX_RANK).rank
-    with pytest.raises(StructuralError, match=f"^rank must be <= {MAX_RANK}, got {MAX_RANK + 1}$"):
+    with pytest.raises(LimitError, match=f"^rank must be <= {MAX_RANK}, got {MAX_RANK + 1}$"):
         monoid_spec([3] * (MAX_RANK + 1))
+
+
+def test_spec_work_refused_before_its_matrices(monkeypatch):
+    # The check needs only k and n, so no matrix is looked at, and the rank
+    # is refused first.
+    labels = tuple(f"v{i}" for i in range(600))
+    with pytest.raises(LimitError) as info:
+        KGraphSpec(rank=2, vertices=labels, adjacency=())
+    assert str(info.value) == (f"the spec's validation and determinants would take "
+                               f"{4 * 600 ** 3} multiply-adds, over the limit of "
+                               f"{MAX_PRODUCT_MADDS}")
+    with pytest.raises(LimitError, match="^rank must be <= 1000, got 15000$"):
+        KGraphSpec(rank=15_000, vertices=labels, adjacency=())
+    # cyclic-large (k = 6, n = 8) and every one-vertex spec stay far inside.
+    assert limits.spec_madds(6, 8) == 18_432
+    assert limits.spec_madds(MAX_RANK, 1) == 10**6 < MAX_PRODUCT_MADDS
+    mats = [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]] * 2
+    monkeypatch.setattr(limits, "MAX_PRODUCT_MADDS", limits.spec_madds(2, 3))
+    assert spec_from_matrices(mats).rank == 2
+    monkeypatch.setattr(limits, "MAX_PRODUCT_MADDS", limits.spec_madds(2, 3) - 1)
+    with pytest.raises(LimitError, match=f"would take {4 * 27} multiply-adds"):
+        spec_from_matrices(mats)
+
+
+def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
+    # Validation's real multiply-adds, counted through its one product
+    # helper, are k(k-1) n^3 when n > 1, commuting or not; with each Bareiss
+    # determinant's sum(m^2 for m < n) two-product updates they stay within
+    # the spec estimate k^2 n^3.
+    madds = []
+    product = kgraph._product
+
+    def counted(rows, cols):
+        madds.append(len(rows) * len(cols) * len(rows[0]))
+        return product(rows, cols)
+
+    monkeypatch.setattr(kgraph, "_product", counted)
+    rng = random.Random(5)
+    specs = [doc.spec for doc in random_polynomial_documents(40, seed=5)]
+    specs += [spec_from_matrices([[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+                                  for _ in range(k)])
+              for n, k in ((rng.randint(1, 7), rng.randint(1, 5)) for _ in range(40))]
+    assert any(not validate(spec).ok for spec in specs)
+    for spec in specs:
+        k, n = spec.rank, spec.num_vertices
+        madds.clear()
+        validate(spec)
+        assert sum(madds) == (k * (k - 1) * n ** 3 if n > 1 else 0)
+        bareiss = k * 2 * sum(m * m for m in range(n))
+        assert sum(madds) + bareiss <= limits.spec_madds(k, n)
 
 
 def test_coadjacency_examples():
