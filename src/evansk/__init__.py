@@ -42,7 +42,6 @@ from .kgraph import (
     ValidationReport,
     Violation,
     coadjacencies,
-    coadjacency,
     monoid_spec,
     spec_from_matrices,
     validate,
@@ -81,7 +80,6 @@ __all__ = [
     "build_complex",
     "build_differential_direct",
     "coadjacencies",
-    "coadjacency",
     "delete_coordinate",
     "differential_product_witness",
     "document_from_dict",

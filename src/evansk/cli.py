@@ -31,9 +31,9 @@ import time
 from pathlib import Path
 
 from . import limits
-from .complexes import ChainComplex
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
 from .documents import DocumentError, GraphDocument, dumps_documents, load_document
+from .indexsets import labels
 from .kgraph import StructuralError
 from .render import render_differential
 from .spectral import Analysis, e2_dict
@@ -167,7 +167,7 @@ def _make_command(command: str):
             analysis.complex
         timings = {"build": time.perf_counter() - t0}
         if command == "complex":
-            text = _complex_report(analysis.complex, degrees, out)
+            text = _complex_report(analysis, degrees, out)
         else:
             text = _groups_report(command, analysis, args.format, out, timings)
         timings["total"] = time.perf_counter() - t0
@@ -178,7 +178,8 @@ def _make_command(command: str):
     return run
 
 
-def _complex_report(cc: ChainComplex, degrees: range, out: dict) -> str:
+def _complex_report(analysis: Analysis, degrees: range, out: dict) -> str:
+    cc, vertices = analysis.complex, analysis.spec.vertices
     out["complex"] = {
         "ranks": list(cc.ranks),
         "differentials": [
@@ -186,8 +187,8 @@ def _complex_report(cc: ChainComplex, degrees: range, out: dict) -> str:
                 "degree": p,
                 "rows": cc.boundary(p).rows,
                 "cols": cc.boundary(p).cols,
-                "row_labels": cc.labels(p - 1),
-                "col_labels": cc.labels(p),
+                "row_labels": labels(p - 1, cc.length, vertices),
+                "col_labels": labels(p, cc.length, vertices),
                 "matrix": cc.boundary(p).to_lists(),
             }
             for p in degrees
@@ -196,7 +197,7 @@ def _complex_report(cc: ChainComplex, degrees: range, out: dict) -> str:
     lines = [f"k = {cc.length}, ranks = {list(cc.ranks)}"]
     for p in degrees:
         lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
-        lines.append(render_differential(cc, p))
+        lines.append(render_differential(cc, p, vertices, analysis.coadjacencies))
     return "\n".join(lines)
 
 

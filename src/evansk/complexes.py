@@ -1,10 +1,11 @@
-"""The Evans chain complex of a k-graph.
+"""The Evans chain complex of a family of commuting matrices.
 
-Degree ``p`` of the complex is one copy of ``Z^n`` (n = number of
-vertices) per strictly increasing ``p``-tuple, in the canonical order of
-:mod:`evansk.indexsets`.  The boundary sends the block of tuple ``a`` to
-the block of ``a`` with its ``i``-th coordinate deleted, through
-``(-1)^(i+1) B_{a_i}`` where ``B_j = I - M_j^T``.
+Given ``k`` commuting ``n x n`` integer matrices ``B_1, ..., B_k`` (for a
+k-graph, its co-adjacency matrices ``B_i = I - M_i^T``), degree ``p`` of
+the complex is one copy of ``Z^n`` per strictly increasing ``p``-tuple, in
+the canonical order of :mod:`evansk.indexsets`.  The boundary sends the
+block of tuple ``a`` to the block of ``a`` with its ``i``-th coordinate
+deleted, through ``(-1)^(i+1) B_{a_i}``.
 
 Every boundary is filled in from that signed-deletion pattern,
 :func:`~evansk.indexsets.boundary_pattern`, which depends on ``(k, p)``
@@ -25,6 +26,11 @@ recursion entry for entry; the test suite builds the recursion, and the
 iterated tensor of the two-term complexes ``0 -> Z -(B_j)-> Z -> 0`` for
 one vertex, independently and compares them with every boundary built
 here.
+
+The blocks of ``d_p d_(p+1)`` are the commutators ``B_j B_i - B_i B_j``,
+so the ``d o d = 0`` certificate of a :class:`ChainComplex` is the check
+that the ``B_i`` commute.  No graph is validated here:
+:class:`evansk.spectral.Analysis` does that before it builds a complex.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from math import comb
 from collections.abc import Sequence
 
 from . import limits
-from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
+from .indexsets import boundary_pattern
 from .intmat import IntMatrix
-from .kgraph import KGraphSpec, coadjacencies, require_valid
+from .kgraph import KGraphSpec, coadjacencies
 
 
 class ChainComplexError(ValueError):
@@ -58,16 +64,12 @@ class ChainComplex:
 
     ``ranks`` lists degrees ``0..length``; ``boundaries[p-1]`` is the map
     from degree ``p`` to degree ``p - 1`` and has shape
-    ``ranks[p-1] x ranks[p]``.  ``vertices`` and ``coadjacencies``, when
-    present, are the vertex labels and the ``B_i`` of the spec the complex
-    was built from.  Construction checks the shapes, then ``d o d = 0``
-    (:class:`ChainComplexError`).
+    ``ranks[p-1] x ranks[p]``.  Construction checks the shapes, then
+    ``d o d = 0`` (:class:`ChainComplexError`).
     """
 
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
-    vertices: tuple[str, ...] | None = None
-    coadjacencies: tuple[IntMatrix, ...] | None = None
 
     def __post_init__(self):
         if len(self.boundaries) != len(self.ranks) - 1:
@@ -90,11 +92,6 @@ class ChainComplex:
         if not 1 <= p <= self.length:
             raise ValueError(f"degree {p} out of range 1..{self.length}")
         return self.boundaries[p - 1]
-
-    def labels(self, p: int) -> list[str]:
-        """The degree-``p`` coordinates as printed: ``(1,3):v`` or ``*:v``."""
-        return [f"{format_index_tuple(a)}:{v}"
-                for a in enumerate_tuples(p, self.length) for v in self.vertices]
 
 
 def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] | None:
@@ -132,25 +129,23 @@ def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
     return _from_pattern(coadjacencies(spec), spec.num_vertices, spec.rank, p)
 
 
-def build_complex(spec: KGraphSpec, *,
-                  bs: tuple[IntMatrix, ...] | None = None) -> ChainComplex:
-    """The full Evans chain complex of a validated spec.
+def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
+    """The Evans chain complex of the commuting ``n x n`` matrices ``bs``.
 
-    The spec is validated first (commuting matrices are a hard
-    requirement: without them the boundaries do not square to zero), and
-    the boundaries are filled in from the signed-deletion pattern; the
-    :class:`ChainComplex` constructor then certifies ``d o d = 0``, so
-    any convention bug fails loudly at build time.  The complex carries
-    the ``B_i`` it was built from.  A caller that has already validated
-    the spec passes its co-adjacency matrices as ``bs``; they are then
-    used as given, and the spec is not validated again.  A complex over a limit
-    of :mod:`evansk.limits` raises ``LimitError`` before anything is assembled.
+    The boundaries are filled in from the signed-deletion pattern, and the
+    :class:`ChainComplex` constructor certifies ``d o d = 0``: matrices
+    that do not commute raise :class:`ChainComplexError`.  An empty family
+    or matrices that are not all ``n x n`` raise ``ValueError``, and a
+    complex over a limit of :mod:`evansk.limits` raises ``LimitError``,
+    before anything is assembled.
     """
-    if bs is None:
-        require_valid(spec)
-        bs = coadjacencies(spec)
-    k, n = spec.rank, spec.num_vertices
+    if not bs:
+        raise ValueError("at least one matrix is required")
+    k, n = len(bs), bs[0].rows
+    for i, b in enumerate(bs, start=1):
+        if b.shape() != (n, n):
+            raise ValueError(f"matrix {i} has shape {b.shape()}, expected {n}x{n}")
     limits.check_complex(k, n)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
-    return ChainComplex(ranks, boundaries, spec.vertices, bs)
+    return ChainComplex(ranks, boundaries)

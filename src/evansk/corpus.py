@@ -48,11 +48,15 @@ def exhaustive_monoid_documents(k: int, m_values: Sequence[int]) -> list[GraphDo
 
 
 def evaluate_polynomial(coeffs: Sequence[int], a: IntMatrix) -> IntMatrix:
-    """``coeffs[0] + coeffs[1] x + ...`` evaluated at the matrix ``a``."""
-    n = a.rows
-    result = IntMatrix.zeros(n, n)
-    for c in reversed(coeffs):
-        result = result @ a + IntMatrix.identity(n).scaled(c)
+    """``coeffs[0] + coeffs[1] x + ...`` evaluated at the matrix ``a``, by
+    Horner's rule from ``c_d a + c_(d-1)``: ``d - 1`` products at degree ``d``."""
+    identity = IntMatrix.identity(a.rows)
+    d = max((i for i, c in enumerate(coeffs) if c), default=0)  # trailing zeros add nothing
+    if d == 0:
+        return identity.scaled(coeffs[0] if coeffs else 0)
+    result = a.scaled(coeffs[d]) + identity.scaled(coeffs[d - 1])
+    for c in reversed(coeffs[:d - 1]):
+        result = result @ a + identity.scaled(c)
     return result
 
 

@@ -25,6 +25,7 @@ table is read from it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 IndexTuple = tuple[int, ...]
@@ -90,3 +91,8 @@ def format_index_tuple(a: IndexTuple) -> str:
     if not a:
         return "*"
     return "(" + ",".join(str(x) for x in a) + ")"
+
+
+def labels(p: int, k: int, vertices: Sequence[str]) -> list[str]:
+    """The degree-``p`` coordinates as printed: ``(1,3):v`` or ``*:v``."""
+    return [f"{format_index_tuple(a)}:{v}" for a in enumerate_tuples(p, k) for v in vertices]

@@ -11,8 +11,8 @@ Structural defects (wrong matrix count, non-square, dimension mismatch)
 raise :class:`StructuralError` at construction.  Semantic defects against
 the standing hypotheses (nonnegative entries, no zero row, pairwise
 commuting matrices) are collected by :func:`validate` into a report with
-reproducible witnesses; nothing downstream will build a chain complex
-from an invalid spec.
+reproducible witnesses; :class:`evansk.spectral.Analysis` builds no chain
+complex from an invalid spec.
 """
 
 from __future__ import annotations
@@ -168,22 +168,13 @@ def _product(rows, cols) -> list[list[int]]:
     return [[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
 
 
-def require_valid(spec: KGraphSpec) -> None:
-    report = validate(spec)
-    if not report.ok:
-        raise SpecValidationError(report)
-
-
-def coadjacency(spec: KGraphSpec, i: int) -> IntMatrix:
-    """The matrix ``I - M_i^T`` of coordinate ``i`` (1-based)."""
-    if not 1 <= i <= spec.rank:
-        raise ValueError(f"coordinate {i} out of range 1..{spec.rank}")
-    m = spec.adjacency[i - 1]
-    columns = zip(*[m.row(r) for r in range(m.rows)])
-    return IntMatrix._raw(m.rows, m.rows, tuple([
-        tuple([(r == c) - x for c, x in enumerate(column)]) for r, column in enumerate(columns)
-    ]))
-
-
 def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
-    return tuple(coadjacency(spec, i) for i in range(1, spec.rank + 1))
+    """The co-adjacency matrices ``B_i = I - M_i^T``, one per coordinate."""
+    n = spec.num_vertices
+    return tuple(
+        IntMatrix._raw(n, n, tuple([
+            tuple([(r == c) - x for c, x in enumerate(column)])
+            for r, column in enumerate(zip(*[m.row(i) for i in range(n)]))
+        ]))
+        for m in spec.adjacency
+    )

@@ -6,18 +6,21 @@ row rule exactly when both partitions are nontrivial (``2 <= p <= k-1``),
 i.e. when the full 2x2 recursion shape is present; the degenerate top and
 bottom degrees print as plain single-block tables.
 
-Single-vertex specs render symbolically (``B2``, ``-B3``, ``0``) with a
-legend of numeric values, which keeps the block pattern auditable even
+A complex holds no labels: the caller passes the vertex labels and the
+``B_i``.  Single-vertex specs render symbolically (``B2``, ``-B3``, ``0``)
+with a legend of the ``B_i``, which keeps the block pattern auditable even
 when different coordinates share a value.  Everything else renders the
-integer matrix with one column per (tuple, vertex) pair.
+integer matrix, one column per :func:`~evansk.indexsets.labels` entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
 
 from .complexes import ChainComplex
-from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple
+from .indexsets import boundary_pattern, enumerate_tuples, format_index_tuple, labels
+from .intmat import IntMatrix
 
 
 def symbolic_blocks(p: int, k: int) -> list[list[str]]:
@@ -76,26 +79,27 @@ def render_symbolic_differential(p: int, k: int) -> str:
     return _render_grid(row_labels, col_labels, symbolic_blocks(p, k), row_split, col_split)
 
 
-def render_numeric_differential(cc: ChainComplex, p: int) -> str:
-    """Integer table of one boundary, labeled by the complex's basis."""
+def render_numeric_differential(cc: ChainComplex, p: int, vertices: Sequence[str]) -> str:
+    """Integer table of one boundary, labeled by tuple and vertex."""
     matrix = cc.boundary(p)
-    n = cc.ranks[0]  # degree 0 holds one coordinate per vertex
+    n = len(vertices)
     entries = [[str(x) for x in matrix.row(i)] for i in range(matrix.rows)]
     row_split, col_split = _partition_splits(p, cc.length)
     return _render_grid(
-        cc.labels(p - 1), cc.labels(p), entries,
+        labels(p - 1, cc.length, vertices), labels(p, cc.length, vertices), entries,
         row_split * n if row_split is not None else None,
         col_split * n if col_split is not None else None,
     )
 
 
-def b_legend(cc: ChainComplex) -> str:
-    values = [b[0, 0] for b in cc.coadjacencies]
-    return "where " + ", ".join(f"B{i} = {v}" for i, v in enumerate(values, start=1))
+def b_legend(bs: Sequence[IntMatrix]) -> str:
+    """The values of the 1x1 matrices ``bs``: ``where B1 = -2, B2 = -4``."""
+    return "where " + ", ".join(f"B{i} = {b[0, 0]}" for i, b in enumerate(bs, start=1))
 
 
-def render_differential(cc: ChainComplex, p: int) -> str:
-    """Symbolic table plus legend for one-vertex complexes, numeric otherwise."""
-    if cc.ranks[0] == 1:  # one vertex
-        return render_symbolic_differential(p, cc.length) + "\n" + b_legend(cc)
-    return render_numeric_differential(cc, p)
+def render_differential(cc: ChainComplex, p: int, vertices: Sequence[str],
+                        bs: Sequence[IntMatrix]) -> str:
+    """Symbolic table plus legend of ``bs`` for one vertex, numeric otherwise."""
+    if len(vertices) == 1:
+        return render_symbolic_differential(p, cc.length) + "\n" + b_legend(bs)
+    return render_numeric_differential(cc, p, vertices)

@@ -194,7 +194,7 @@ class Analysis:
 
     @_stage
     def complex(self) -> ChainComplex:
-        return build_complex(self.spec, bs=self.coadjacencies)
+        return build_complex(self.coadjacencies)
 
     @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:

@@ -79,8 +79,7 @@ def announce(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")
 
 
-def edge_shapes_ok(cc) -> bool:
-    bs = cc.coadjacencies
+def edge_shapes_ok(cc, bs) -> bool:
     k = len(bs)
     d1_expected = block([[bs[i] for i in reversed(range(k))]])
     dk_expected = block([[bs[i].scaled(1 if i % 2 == 0 else -1)] for i in range(k)])
@@ -100,15 +99,16 @@ def monoid_sweep():
     for k in RANKS:
         for ms in itertools.product(M_VALUES, repeat=k):
             spec = monoid_spec(ms)
-            cc = build_complex(spec)  # validates; the constructor certifies d o d = 0
+            analysis = Analysis(spec)
+            cc = analysis.complex  # validated; the constructor certifies d o d = 0
             built += 1
             for p, d in enumerate(build_differential_recursive(spec), start=1):
                 if d != cc.boundary(p):
                     recursive_mismatches.append((ms, p))
-            if not edge_shapes_ok(cc):
+            if not edge_shapes_ok(cc, analysis.coadjacencies):
                 shape_failures.append(ms)
             hs = tuple(homology(cc))
-            if Analysis(spec).homology != hs:
+            if analysis.homology != hs:  # a one-vertex page reads no complex
                 analysis_failures.append(ms)
             if k <= PROOF_MAX_RANK:
                 pages[ms] = hs
@@ -143,12 +143,13 @@ def poly_sweep():
     built = 0
     for doc in docs:
         spec = doc.spec
-        cc = build_complex(spec)
+        analysis = Analysis(spec)
+        cc = analysis.complex
         built += 1
         for p, d in enumerate(build_differential_recursive(spec), start=1):
             if d != cc.boundary(p):
                 recursive_mismatches.append((doc.name, p))
-        if not edge_shapes_ok(cc):
+        if not edge_shapes_ok(cc, analysis.coadjacencies):
             shape_failures.append(doc.name)
     return {
         "built": built,
@@ -173,16 +174,20 @@ def test_criterion_02_complex_axiom(monoid_sweep, poly_sweep):
     # Every corpus complex was certified d o d = 0 by its constructor.
     assert monoid_sweep["built"] == MONOID_TOTAL
     assert poly_sweep["built"] == POLY_COUNT
-    # Negative control: a non-commuting family breaks the axiom and is
-    # refused by the constructor and by the validating builder.
+    # Negative control: a non-commuting family breaks the axiom.  Its
+    # matrices are refused by the certificate alone; the spec is refused by
+    # validation before any complex is built.
     bad = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(bad, 1)
     d2 = build_differential_direct(bad, 2)
     assert d1 @ d2 != IntMatrix.zeros(d1.rows, d2.cols)
     with pytest.raises(ChainComplexError):
         ChainComplex((2, 4, 2), (d1, d2))
-    with pytest.raises(SpecValidationError):
-        build_complex(bad)
+    with pytest.raises(ChainComplexError):
+        build_complex(coadjacencies(bad))
+    with pytest.raises(SpecValidationError) as info:
+        Analysis(bad).complex
+    assert [v.kind for v in info.value.report.violations] == ["non_commuting"]
     announce(2, f"d_p d_(p+1) = 0 on all {MONOID_TOTAL + POLY_COUNT} corpus "
                 "specs; non-commuting control is nonzero and refused")
 
@@ -260,7 +265,7 @@ def test_criterion_06_invertible_triviality():
     for doc in docs:
         bs = coadjacencies(doc.spec)
         assert any(b.det() in (1, -1) for b in bs), doc.name
-        groups = homology(build_complex(doc.spec))
+        groups = homology(Analysis(doc.spec).complex)
         assert all(g.is_trivial for g in groups), doc.name
         verdict = k_theory_verdict(doc.spec)
         assert verdict.kind is VerdictKind.TRIVIAL, doc.name
@@ -273,7 +278,7 @@ def test_criterion_07_trivial_monoid():
 
     for k in RANKS:
         spec = monoid_spec([1] * k)
-        groups = homology(build_complex(spec))
+        groups = homology(Analysis(spec).complex)
         assert groups == [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
         verdict = k_theory_verdict(spec)
         assert (verdict.kind, verdict.rule) == (VerdictKind.DETERMINED, "R2")
@@ -331,11 +336,11 @@ def test_criterion_10_snf_certification():
 def test_criterion_11_basis_change_invariance():
     rng = random.Random(BASIS_SEED)
     pool = [
-        build_complex(monoid_spec([3, 5])),
-        build_complex(monoid_spec([3, 5, 7])),
-        build_complex(monoid_spec([2, 4, 6, 8])),
-        build_complex(spec_from_matrices([[[3, 0], [0, 3]], [[5, 0], [0, 5]]])),
-        build_complex(spec_from_matrices([[[1, 2], [1, 2]], [[3, 6], [3, 6]]])),
+        Analysis(monoid_spec([3, 5])).complex,
+        Analysis(monoid_spec([3, 5, 7])).complex,
+        Analysis(monoid_spec([2, 4, 6, 8])).complex,
+        Analysis(spec_from_matrices([[[3, 0], [0, 3]], [[5, 0], [0, 5]]])).complex,
+        Analysis(spec_from_matrices([[[1, 2], [1, 2]], [[3, 6], [3, 6]]])).complex,
     ]
     baselines = [homology(cc) for cc in pool]
     for trial in range(BASIS_TRIALS):
@@ -362,7 +367,7 @@ def test_proved_verdicts_match_computed_homology(monoid_sweep, tmp_path):
     cases = [(monoid_spec(ms), hs) for ms, hs in monoid_sweep["pages"].items()]
     for seed in PROOF_POLY_SEEDS:
         for doc in random_polynomial_documents(PROOF_POLY_COUNT, seed):
-            cases.append((doc.spec, homology(build_complex(doc.spec))))
+            cases.append((doc.spec, homology(Analysis(doc.spec).complex)))
     assert len(cases) == (sum(9 ** k for k in range(1, PROOF_MAX_RANK + 1))
                           + len(PROOF_POLY_SEEDS) * PROOF_POLY_COUNT)
     path = tmp_path / "doc.json"

@@ -377,7 +377,7 @@ def test_torsion_entries_estimate():
     assert limits.report_entries(page) == 2 ** 29 > MAX_REPORT_TORSION
     assert limits.report_entries([AbelianGroup(3, (2, 4, 4)), AbelianGroup.free(2)]) == 3
     for doc in random_polynomial_documents(200, seed=1):
-        hs = homology(build_complex(doc.spec))
+        hs = homology(Analysis(doc.spec).complex)
         assert limits.report_entries(hs) == sum(len(g.torsion) for g in hs) < 1000
 
 
@@ -428,7 +428,7 @@ def _assert_verdict_parity(spec, path) -> None:
             k_theory_verdict(spec)
         return
     assert status == 0
-    groups = homology(build_complex(spec))
+    groups = homology(Analysis(spec).complex)
     assert report["homology"] == [g.to_dict() for g in groups]
     assert report["e2"] == {"k": spec.rank, "columns": report["homology"]}
     assert report["verdict"] == k_theory_verdict(spec).to_dict()
@@ -517,7 +517,7 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: homology(build_complex(monoid_document([3, 5, 7]).spec)),
+    lambda: homology(Analysis(monoid_document([3, 5, 7]).spec).complex),
     lambda: Analysis(TWO_VERTEX_GCD_4).verdict,
 ], ids=["homology", "verdict"])
 def test_each_complex_runs_the_product_once(run, monkeypatch):

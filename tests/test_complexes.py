@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import itertools
 import random
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evansk import (
+    AbelianGroup,
+    Analysis,
     ChainComplex,
     ChainComplexError,
     IntMatrix,
@@ -22,7 +25,8 @@ from evansk import (
     monoid_spec,
     spec_from_matrices,
 )
-from evansk.corpus import random_polynomial_documents
+from evansk import complexes
+from evansk.corpus import evaluate_polynomial, random_polynomial_documents
 from evansk.limits import MAX_BOUNDARY_CELLS, MAX_PRODUCT_MADDS, LimitError, dense_cells
 
 import oracles
@@ -30,6 +34,7 @@ from oracles import (
     boundary,
     build_differential_recursive,
     dense_product_witness,
+    minor_gcd_divisors,
     tensor_monoid_complex,
     tensor_two,
 )
@@ -37,6 +42,11 @@ from oracles import (
 
 def is_zero(m: IntMatrix) -> bool:
     return m == IntMatrix.zeros(m.rows, m.cols)
+
+
+def complex_of(spec) -> ChainComplex:
+    """The complex of the spec's co-adjacency matrices, unvalidated."""
+    return build_complex(coadjacencies(spec))
 
 
 def blocks_of(matrix, p, k, n=1):
@@ -105,24 +115,58 @@ def test_direct_equals_recursive_multivertex():
 
 
 def test_build_complex_monoid():
-    cc = build_complex(monoid_spec([3, 5]))
+    cc = complex_of(monoid_spec([3, 5]))
     assert cc.ranks == (1, 2, 1)
     assert cc.boundaries[0].to_lists() == [[-4, -2]]
     assert cc.boundaries[1].to_lists() == [[-2], [4]]
     assert differential_product_witness(cc) is None
+    assert complex_of(spec_from_matrices([[[1, 1], [1, 1]]])).ranks == (2, 2)
 
 
-def test_build_complex_labels():
-    cc = build_complex(monoid_spec([3, 5]))
-    assert cc.labels(1) == ["(2):v", "(1):v"]
-    multi = build_complex(spec_from_matrices([[[1, 1], [1, 1]]]))
-    assert multi.labels(0) == ["*:v0", "*:v1"]
-    assert multi.ranks == (2, 2)
+def test_chain_complex_is_ranks_and_boundaries():
+    # The complex layer knows matrices, not graphs: no vertex labels, no
+    # B_i, and no validation of its own beyond the d o d = 0 certificate.
+    assert [f.name for f in dataclasses.fields(ChainComplex)] == ["ranks", "boundaries"]
+    assert list(inspect.signature(build_complex).parameters) == ["bs"]
+    tree = ast.parse(Path(complexes.__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "coadjacencies" in names  # the walk sees imports and calls
+    assert not names & {"validate", "require_valid"}
 
 
-def test_build_complex_carries_its_coadjacencies():
-    spec = spec_from_matrices([[[1, 1], [1, 0]], [[2, 1], [1, 1]]])
-    assert build_complex(spec).coadjacencies == coadjacencies(spec)
+def test_build_complex_refuses_malformed_families(monkeypatch):
+    monkeypatch.setattr("evansk.limits.check_complex", None)  # shapes are checked first
+    with pytest.raises(ValueError, match="at least one matrix is required"):
+        build_complex(())
+    with pytest.raises(ValueError, match=r"matrix 2 has shape \(1, 2\), expected 2x2"):
+        build_complex((IntMatrix.zeros(2, 2), IntMatrix.zeros(1, 2)))
+    with pytest.raises(ValueError, match=r"matrix 1 has shape \(2, 1\), expected 2x2"):
+        build_complex((IntMatrix.zeros(2, 1),))
+
+
+def minors_homology(cc: ChainComplex) -> list[AbelianGroup]:
+    """Homology from the divisor chains of gcds of minors, one per boundary."""
+    divisors = [minor_gcd_divisors(b.to_lists()) for b in cc.boundaries] + [()]
+    rank_d = [0] + [sum(1 for d in ds if d) for ds in divisors]  # rank_d[p] is rank d_p
+    return [AbelianGroup(r - rank_d[p] - rank_d[p + 1], [d for d in divisors[p] if d > 1])
+            for p, r in enumerate(cc.ranks)]
+
+
+def test_commuting_family_that_is_no_graph():
+    # B_i = I - q_i(A)^T for an A with a negative entry and a zero row: no
+    # k-graph has these matrices, but they commute, so they make a complex.
+    a = IntMatrix.from_rows([[1, -1, 2], [0, 0, 0], [2, 1, -1]])
+    polynomials = ([0, 1], [1, 0, 2], [2, 3])
+    bs = tuple(
+        IntMatrix.from_rows([[(r == c) - q[c, r] for c in range(3)] for r in range(3)])
+        for q in (evaluate_polynomial(cs, a) for cs in polynomials))
+    for k in (1, 2, 3):
+        cc = build_complex(bs[:k])
+        assert cc.ranks == tuple(comb(k, p) * 3 for p in range(k + 1))
+        assert homology(cc) == minors_homology(cc)
+    assert any(not g.is_trivial for g in homology(build_complex(bs[:2])))
 
 
 def test_build_complex_assembles_without_block_matrices(monkeypatch):
@@ -140,23 +184,27 @@ def test_build_complex_assembles_without_block_matrices(monkeypatch):
     monkeypatch.setattr(oracles, "block", counted)
     for spec in (monoid_spec([2, 3, 4, 5]),
                  *(doc.spec for doc in random_polynomial_documents(5, seed=7))):
-        build_complex(spec)
+        complex_of(spec)
     assert calls == []
     build_differential_recursive(monoid_spec([2, 3, 4]))
     assert calls  # the counter sees the recursion, which is built from blocks
 
 
 def test_trivial_monoid_has_zero_boundaries():
-    cc = build_complex(monoid_spec([1, 1, 1]))
+    cc = complex_of(monoid_spec([1, 1, 1]))
     assert cc.ranks == (1, 3, 3, 1)
     assert all(is_zero(b) for b in cc.boundaries)
 
 
 def test_non_commuting_spec_refused():
+    # Validation refuses the spec before its complex is built; the matrices
+    # alone are refused by the d o d = 0 certificate.
     spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     with pytest.raises(SpecValidationError) as info:
-        build_complex(spec)
+        Analysis(spec).complex
     assert any(v.kind == "non_commuting" for v in info.value.report.violations)
+    with pytest.raises(ChainComplexError):
+        build_complex(coadjacencies(spec))
 
 
 def test_non_commuting_negative_control_breaks_complex_axiom():
@@ -179,7 +227,7 @@ def test_chain_complex_shape_validation():
 def test_boundary_end_maps():
     # The complex holds d_1..d_k only; the oracle materializes the zero
     # maps at the ends, which the tensor route reads.
-    cc = build_complex(monoid_spec([3, 5]))
+    cc = complex_of(monoid_spec([3, 5]))
     assert boundary(cc, 0).shape() == (0, 1)
     assert boundary(cc, 3).shape() == (1, 0)
     assert boundary(cc, 1) == cc.boundary(1)
@@ -232,7 +280,7 @@ def test_tensor_empty_rejected():
 
 @pytest.mark.parametrize("ms", [(3, 5), (2, 2, 2), (1, 4, 6), (3, 5, 7, 9)])
 def test_tensor_homology_matches_block_construction(ms):
-    evans = homology(build_complex(monoid_spec(ms)))
+    evans = homology(complex_of(monoid_spec(ms)))
     tensor = homology(tensor_monoid_complex([1 - m for m in ms]))
     assert evans == tensor
 
@@ -253,7 +301,7 @@ def test_witness_matches_dense_scan_on_valid_complexes():
     specs = [monoid_spec(ms) for ms in ((2, 3, 4, 5), (3, 5, 7), (2, 2, 2, 2, 2))]
     specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
     for spec in specs:
-        cc = build_complex(spec)
+        cc = complex_of(spec)
         assert differential_product_witness(cc) is None
         assert dense_product_witness(cc.boundaries) is None
 
@@ -297,11 +345,11 @@ def test_witness_matches_dense_scan_on_arbitrary_boundaries(maps):
 
 def test_boundary_cells_estimate():
     for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7):
-        cc = build_complex(monoid_spec(ms))
+        cc = complex_of(monoid_spec(ms))
         assert dense_cells(len(ms), 1) == max(b.rows * b.cols for b in cc.boundaries)
     for doc in random_polynomial_documents(10, seed=7):
-        cc = build_complex(doc.spec)
-        assert dense_cells(cc.length, len(cc.vertices)) == max(
+        cc = complex_of(doc.spec)
+        assert dense_cells(cc.length, doc.spec.num_vertices) == max(
             b.rows * b.cols for b in cc.boundaries)
     # cyclic-large's largest boundary is 120 x 160; loop counts [2] + [3]*29
     # would need C(30, 14) * C(30, 15) cells in degree 15.
@@ -316,13 +364,13 @@ def test_build_complex_refuses_over_budget(monkeypatch):
 
     monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
     with pytest.raises(LimitError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
-        build_complex(monoid_spec([2] + [3] * 29))
+        complex_of(monoid_spec([2] + [3] * 29))
     # [3] * 11 fits the cell budget (C(11, 5) * C(11, 6) = 213 444 cells),
     # but its products take sum C(11, p-1) C(11, p) C(11, p+1) multiply-adds.
     madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
     assert dense_cells(11, 1) < MAX_BOUNDARY_CELLS < MAX_PRODUCT_MADDS < madds
     with pytest.raises(LimitError) as info:
-        build_complex(monoid_spec([3] * 11))
+        complex_of(monoid_spec([3] * 11))
     assert str(info.value) == (f"certifying d o d = 0 would take {madds} multiply-adds, "
                                f"over the limit of {MAX_PRODUCT_MADDS}")
 
@@ -336,18 +384,18 @@ def product_madds(cc: ChainComplex) -> int:
 def test_product_madds_limit_is_exact(monkeypatch):
     # Every rank scales by n, so cyclic-large (k = 6, n = 8) takes 8^3 times
     # the one-vertex figure: 4 239 360, with 20x headroom under the limit.
-    assert product_madds(build_complex(monoid_spec([3] * 6))) * 8 ** 3 == 4_239_360
+    assert product_madds(complex_of(monoid_spec([3] * 6))) * 8 ** 3 == 4_239_360
     assert 20 * 4_239_360 < MAX_PRODUCT_MADDS
     # The preflight's estimate equals the real products' work: at that many
     # multiply-adds the complex is built, at one fewer it is refused.
     specs = [monoid_spec(ms) for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7)]
     specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
-    for spec, madds in [(spec, product_madds(build_complex(spec))) for spec in specs]:
+    for spec, madds in [(spec, product_madds(complex_of(spec))) for spec in specs]:
         monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds)
-        build_complex(spec)
+        complex_of(spec)
         monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds - 1)
         with pytest.raises(LimitError, match=f"would take {madds} multiply-adds"):
-            build_complex(spec)
+            complex_of(spec)
 
 
 def test_oracles_stay_independent():

@@ -13,7 +13,7 @@ from evansk.corpus import (
     random_polynomial_documents,
 )
 from evansk.intmat import IntMatrix
-from evansk.kgraph import monoid_spec
+from evansk.kgraph import coadjacencies, monoid_spec
 from evansk.limits import MAX_DOCUMENTS, MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
 
@@ -122,6 +122,36 @@ def test_polynomial_evaluation():
     assert evaluate_polynomial([1, 0, 1], a).to_lists() == [[3, 1], [1, 2]]
 
 
+def test_polynomial_evaluation_takes_degree_minus_one_products(monkeypatch):
+    # Horner's rule from c_d A + c_(d-1) I: a degree-d polynomial takes d - 1
+    # products, none of them with the zero matrix, and trailing zero
+    # coefficients take none.
+    products = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(x, y):
+        products.append(x)
+        return matmul(x, y)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    a = IntMatrix.from_rows([[1, 1, 0], [1, 0, 2], [0, 1, 1]])
+    power = IntMatrix.identity(3)
+    powers = [power]
+    for _ in range(4):
+        power = matmul(power, a)
+        powers.append(power)
+    for coeffs, degree in [([], 0), ([0], 0), ([2], 0), ([3, 0, 0], 0), ([0, 1], 1),
+                           ([1, 2], 1), ([0, 0, 1], 2), ([2, 0, 1, 0], 2),
+                           ([1, 2, 0, 1], 3), ([0, 0, 0, 0, 2], 4)]:
+        products.clear()
+        want = IntMatrix.zeros(3, 3)
+        for c, pw in zip(coeffs, powers):
+            want = want + pw.scaled(c)
+        assert evaluate_polynomial(coeffs, a) == want, coeffs
+        assert len(products) == max(degree - 1, 0), coeffs
+        assert IntMatrix.zeros(3, 3) not in products
+
+
 def test_companion_matrix_shape_and_charpoly():
     c = companion_matrix([1, 1])
     assert c.to_lists() == [[1, 1], [1, 0]]
@@ -169,9 +199,7 @@ def test_random_documents_deterministic():
 
 
 def test_unimodular_base_has_unimodular_coadjacency():
-    from evansk import coadjacency
-
     docs = random_polynomial_documents(15, seed=13, unimodular_base=True)
     for doc in docs:
-        assert coadjacency(doc.spec, 1).det() in (1, -1)
+        assert coadjacencies(doc.spec)[0].det() in (1, -1)
         assert validate(doc.spec).ok

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from evansk import (
     TRIVIAL_GROUP,
     AbelianGroup,
+    Analysis,
     ChainComplex,
     ChainComplexError,
     IntMatrix,
-    build_complex,
     homology,
     monoid_spec,
     smith_normal_form,
@@ -21,35 +21,35 @@ from strategies import specs
 
 
 def test_monoid_rank2_example():
-    groups = homology(build_complex(monoid_spec([3, 5])))
+    groups = homology(Analysis(monoid_spec([3, 5])).complex)
     assert groups == [AbelianGroup.cyclic(2), AbelianGroup.cyclic(2), TRIVIAL_GROUP]
 
 
 def test_trivial_monoid_rank3():
-    groups = homology(build_complex(monoid_spec([1, 1, 1])))
+    groups = homology(Analysis(monoid_spec([1, 1, 1])).complex)
     assert [g.free_rank for g in groups] == [1, 3, 3, 1]
     assert all(g.is_torsion_free for g in groups)
 
 
 def test_unimodular_coadjacency_kills_homology():
-    groups = homology(build_complex(spec_from_matrices([[[1, 1], [1, 0]]])))
+    groups = homology(Analysis(spec_from_matrices([[[1, 1], [1, 0]]])).complex)
     assert groups == [TRIVIAL_GROUP, TRIVIAL_GROUP]
 
 
 def test_rank1_swap_graph():
-    groups = homology(build_complex(spec_from_matrices([[[0, 1], [1, 0]]])))
+    groups = homology(Analysis(spec_from_matrices([[[0, 1], [1, 0]]])).complex)
     assert groups == [AbelianGroup.free(1), AbelianGroup.free(1)]
 
 
 def test_top_group_is_torsion_free():
     for ms in [(2,), (3, 5), (3, 5, 7), (2, 4, 6, 8)]:
-        groups = homology(build_complex(monoid_spec(ms)))
+        groups = homology(Analysis(monoid_spec(ms)).complex)
         assert groups[-1].is_torsion_free
 
 
 def test_euler_characteristic():
     for ms in [(3, 5), (2, 3, 4), (3, 5, 7, 9)]:
-        cc = build_complex(monoid_spec(ms))
+        cc = Analysis(monoid_spec(ms)).complex
         groups = homology(cc)
         chi_ranks = sum((-1) ** p * r for p, r in enumerate(cc.ranks))
         chi_homology = sum((-1) ** p * g.free_rank for p, g in enumerate(groups))
@@ -60,7 +60,7 @@ def test_euler_characteristic():
 @settings(max_examples=60, deadline=None)
 @given(specs)
 def test_euler_characteristic_property(spec):
-    cc = build_complex(spec)
+    cc = Analysis(spec).complex
     groups = homology(cc)
     chi_ranks = sum((-1) ** p * r for p, r in enumerate(cc.ranks))
     assert chi_ranks == sum((-1) ** p * g.free_rank for p, g in enumerate(groups))
@@ -68,7 +68,7 @@ def test_euler_characteristic_property(spec):
 
 def test_basis_change_invariance():
     rng = random.Random(99)
-    cc = build_complex(monoid_spec([3, 5, 7]))
+    cc = Analysis(monoid_spec([3, 5, 7])).complex
     base = homology(cc)
     for _ in range(5):
         transforms = [random_unimodular(r, rng) for r in cc.ranks]
@@ -84,9 +84,9 @@ def test_basis_change_invariance():
 
 def test_permuted_coordinates_same_homology():
     spec = monoid_spec([3, 5, 7])
-    base = homology(build_complex(spec))
+    base = homology(Analysis(spec).complex)
     for sigma in [(2, 1, 3), (3, 1, 2), (3, 2, 1)]:
-        assert homology(build_complex(permute_coordinates(spec, sigma))) == base
+        assert homology(Analysis(permute_coordinates(spec, sigma)).complex) == base
 
 
 
@@ -95,7 +95,7 @@ def test_permuted_coordinates_same_homology():
 def test_permuted_coordinates_same_homology_property(data, spec):
     sigma = data.draw(st.permutations(range(1, spec.rank + 1)))
     permuted = permute_coordinates(spec, sigma)
-    assert homology(build_complex(permuted)) == homology(build_complex(spec))
+    assert homology(Analysis(permuted).complex) == homology(Analysis(spec).complex)
 
 
 def test_group_formatting():
@@ -178,7 +178,7 @@ def test_zero_length_complex():
 
 
 def test_homology_degrees_count():
-    groups = homology(build_complex(monoid_spec([2, 3, 4, 5])))
+    groups = homology(Analysis(monoid_spec([2, 3, 4, 5])).complex)
     assert len(groups) == 5
 
 

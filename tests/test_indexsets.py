@@ -11,6 +11,7 @@ from evansk import (
     enumerate_tuples,
     format_index_tuple,
 )
+from evansk.indexsets import labels
 
 
 def plus_minus(p, k):
@@ -161,6 +162,11 @@ def test_minus_block_closed_under_deletion(k):
 def test_format_index_tuple():
     assert format_index_tuple(BASEPOINT) == "*"
     assert format_index_tuple((2, 3, 4)) == "(2,3,4)"
+
+
+def test_labels():
+    assert labels(1, 2, ("v",)) == ["(2):v", "(1):v"]
+    assert labels(0, 1, ("v0", "v1")) == ["*:v0", "*:v1"]
 
 
 @pytest.mark.parametrize("k", range(2, 8))

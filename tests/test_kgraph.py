@@ -7,7 +7,7 @@ from evansk import (
     IntMatrix,
     KGraphSpec,
     StructuralError,
-    coadjacency,
+    coadjacencies,
     monoid_spec,
     spec_from_matrices,
     validate,
@@ -148,30 +148,23 @@ def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
 
 
 def test_coadjacency_examples():
-    assert coadjacency(monoid_spec([3]), 1).to_lists() == [[-2]]
+    assert coadjacencies(monoid_spec([3]))[0].to_lists() == [[-2]]
     spec = spec_from_matrices([[[1, 1], [1, 0]]])
-    assert coadjacency(spec, 1).to_lists() == [[0, -1], [-1, 1]]
+    assert coadjacencies(spec)[0].to_lists() == [[0, -1], [-1, 1]]
     eye = spec_from_matrices([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-    assert coadjacency(eye, 1) == IntMatrix.zeros(3, 3)
+    assert coadjacencies(eye)[0] == IntMatrix.zeros(3, 3)
 
 
 def test_coadjacency_transpose_convention():
     spec = spec_from_matrices([[[0, 2], [1, 0]]])
-    assert coadjacency(spec, 1).to_lists() == [[1, -1], [-2, 1]]
+    assert coadjacencies(spec)[0].to_lists() == [[1, -1], [-2, 1]]
 
 
 def test_coadjacency_identity_relation():
     for spec in (monoid_spec([4, 7]), spec_from_matrices([[[0, 2], [1, 0]], [[1, 3], [5, 2]]])):
         for i in (1, 2):
             m_t = IntMatrix.from_rows([list(c) for c in zip(*spec.adjacency[i - 1].to_lists())])
-            assert coadjacency(spec, i) + m_t == IntMatrix.identity(spec.num_vertices)
-
-
-def test_coadjacency_range():
-    with pytest.raises(ValueError):
-        coadjacency(monoid_spec([3]), 2)
-    with pytest.raises(ValueError):
-        coadjacency(monoid_spec([3]), 0)
+            assert coadjacencies(spec)[i - 1] + m_t == IntMatrix.identity(spec.num_vertices)
 
 
 def test_permute_coordinates():
@@ -189,8 +182,7 @@ def test_coadjacency_commutes_with_permutation():
     spec = spec_from_matrices([[[3, 0], [0, 3]], [[5, 0], [0, 5]]])
     sigma = (2, 1)
     permuted = permute_coordinates(spec, sigma)
-    for i in (1, 2):
-        assert coadjacency(permuted, i) == coadjacency(spec, sigma[i - 1])
+    assert coadjacencies(permuted) == tuple(coadjacencies(spec)[s - 1] for s in sigma)
 
 
 def test_spec_from_matrices_default_labels():

@@ -1,4 +1,4 @@
-from evansk import build_complex, monoid_spec, spec_from_matrices
+from evansk import Analysis, coadjacencies, monoid_spec, spec_from_matrices
 from evansk.render import (
     b_legend,
     render_differential,
@@ -68,22 +68,23 @@ def test_partition_rules_only_in_middle_degrees():
 
 
 def test_legend_lists_numeric_values():
-    cc = build_complex(monoid_spec([2, 3, 4, 5]))
-    assert b_legend(cc) == "where B1 = -1, B2 = -2, B3 = -3, B4 = -4"
+    bs = coadjacencies(monoid_spec([2, 3, 4, 5]))
+    assert b_legend(bs) == "where B1 = -1, B2 = -2, B3 = -3, B4 = -4"
+
+
+def render(spec, p):
+    analysis = Analysis(spec)
+    return render_differential(analysis.complex, p, spec.vertices, analysis.coadjacencies)
 
 
 def test_render_differential_monoid_uses_symbols():
-    spec = monoid_spec([2, 3, 4, 5])
-    cc = build_complex(spec)
-    text = render_differential(cc, 4)
+    text = render(monoid_spec([2, 3, 4, 5]), 4)
     assert RANK4_DEGREE4 in text
     assert "where B1 = -1" in text
 
 
 def test_render_numeric_for_multivertex():
-    spec = spec_from_matrices([[[0, 1], [1, 0]]])
-    cc = build_complex(spec)
-    text = render_differential(cc, 1)
+    text = render(spec_from_matrices([[[0, 1], [1, 0]]]), 1)
     assert "(1):v0" in text and "(1):v1" in text
     assert "*:v0" in text
     assert "-1" in text
@@ -92,6 +93,5 @@ def test_render_numeric_for_multivertex():
 def test_numeric_partition_positions():
     spec = spec_from_matrices([[[2, 1], [1, 1]], [[3, 1], [1, 2]]])
     assert spec.adjacency[0] @ spec.adjacency[1] == spec.adjacency[1] @ spec.adjacency[0]
-    cc = build_complex(spec)
-    text = render_numeric_differential(cc, 1)
+    text = render_numeric_differential(Analysis(spec).complex, 1, spec.vertices)
     assert "(2):v0" in text and "(1):v1" in text

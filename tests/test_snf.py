@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evansk import (
+    Analysis,
     IntMatrix,
-    build_complex,
     elementary_divisors,
     monoid_spec,
     rank_from_divisors,
@@ -131,12 +131,12 @@ def _circulant_boundary():
         return [[sum((c - r) % 6 == e for e in powers) for c in range(6)] for r in range(6)]
 
     spec = spec_from_matrices([q(0, 1, 1), q(0, 2, 3), q(1, 1, 4)])
-    return build_complex(spec).boundary(2)
+    return Analysis(spec).complex.boundary(2)
 
 
 def test_divisors_do_not_use_the_certified_engine(monkeypatch):
     cases = [
-        build_complex(monoid_spec([3, 5, 7])).boundary(2),  # B = (-2, -4, -6): no unit entry
+        Analysis(monoid_spec([3, 5, 7])).complex.boundary(2),  # B = (-2, -4, -6): no unit entry
         IntMatrix.from_rows([[1, 2, 0, 3], [0, 4, 6, 1], [2, 0, 8, 0], [6, 4, 2, 10]]),
         _circulant_boundary(),
     ]

@@ -12,7 +12,6 @@ from evansk import (
     SpecValidationError,
     VerdictKind,
     boundary_pattern,
-    build_complex,
     coadjacencies,
     homology,
     k_theory_verdict,
@@ -31,7 +30,7 @@ Z3 = AbelianGroup.cyclic(3)
 
 
 def test_page_from_monoid_rank3():
-    groups = homology(build_complex(monoid_spec([3, 5, 7])))
+    groups = homology(Analysis(monoid_spec([3, 5, 7])).complex)
     assert [str(g) for g in groups] == ["Z2", "Z2^2", "Z2", "0"]
     assert Analysis(monoid_spec([3, 5, 7])).homology == tuple(groups)
 
@@ -46,7 +45,7 @@ def test_verdict_carries_the_page_stage(spec):
 
 
 def test_trivial_monoid_rank2_page():
-    groups = homology(build_complex(monoid_spec([1, 1])))
+    groups = homology(Analysis(monoid_spec([1, 1])).complex)
     assert [g.free_rank for g in groups] == [1, 2, 1]
 
 
@@ -69,12 +68,12 @@ def test_closed_form_all_zero_matches_snf():
     for k in range(1, 7):
         expected = [AbelianGroup.free(comb(k, p)) for p in range(k + 1)]
         assert monoid_closed_form([0] * k) == expected
-        assert homology(build_complex(monoid_spec([1] * k))) == expected
+        assert homology(Analysis(monoid_spec([1] * k)).complex) == expected
 
 
 def test_closed_form_matches_pipeline_on_mixed_zero():
     spec = monoid_spec([5, 1])  # B = (-4, 0)
-    assert homology(build_complex(spec)) == monoid_closed_form([-4, 0])
+    assert homology(Analysis(spec).complex) == monoid_closed_form([-4, 0])
 
 
 def test_verdict_r1_unimodular():
@@ -144,7 +143,7 @@ def test_verdict_r7_upgrades_when_middle_free():
     # -8, -11), the top homology vanishes, and H2 is torsion-free, so the
     # collapse argument determines K0 outright.
     spec = spec_from_matrices([[[1, 2], [1, 2]], [[3, 6], [3, 6]], [[4, 8], [4, 8]]])
-    groups = homology(build_complex(spec))
+    groups = homology(Analysis(spec).complex)
     assert groups[3].is_trivial and groups[2].is_torsion_free
     v = k_theory_verdict(spec)
     assert (v.kind, v.rule) == (VerdictKind.DETERMINED, "R7")
@@ -170,7 +169,7 @@ def test_verdict_rank4_monoid_nontrivial_is_indeterminate():
 def test_r4_consistent_with_homology_ends(ms):
     # The rank-3 monoid verdict must agree with the independently computed
     # page: K1 with column 1, and the extension ends with columns 0 and 2.
-    groups = homology(build_complex(monoid_spec(ms)))
+    groups = homology(Analysis(monoid_spec(ms)).complex)
     v = k_theory_verdict(monoid_spec(ms))
     assert v.rule == "R4"
     assert v.k1 == groups[1]
@@ -263,9 +262,9 @@ def _contraction(pattern, i: int, adj: list[list[int]], rows: int, cols: int) ->
 def test_adjugate_contracts_to_determinant_property(spec):
     # d h + h d = det(B_i) * 1 in every degree, exactly: the homotopy behind
     # the vanishing proof, built from cofactors alone.
-    cc = build_complex(spec)
-    k = spec.rank
-    for i, b in enumerate(cc.coadjacencies, start=1):
+    analysis = Analysis(spec)
+    cc, k = analysis.complex, spec.rank
+    for i, b in enumerate(analysis.coadjacencies, start=1):
         rows = b.to_lists()
         det, adj = det_cofactor(rows), adjugate(rows)
         h = [_contraction(boundary_pattern(p + 1, k), i, adj, cc.ranks[p + 1], cc.ranks[p])
@@ -288,7 +287,7 @@ def test_annihilator_kills_every_group_property(spec):
     bs = coadjacencies(spec)
     assert analysis.annihilator == gcd(*(det_cofactor(b.to_lists()) for b in bs))
     d = analysis.annihilator
-    for group in homology(build_complex(spec)):
+    for group in homology(Analysis(spec).complex):
         if d:
             assert group.free_rank == 0 and all(d % t == 0 for t in group.torsion)
     assert analysis.needs_complex == (d != 1 and not spec.is_monoid)
@@ -301,7 +300,7 @@ def test_coprime_determinants_give_zero_homology(seed):
         bs = coadjacencies(doc.spec)
         if gcd(*(det_cofactor(b.to_lists()) for b in bs)) == 1:
             proved += 1
-            assert all(g.is_trivial for g in homology(build_complex(doc.spec))), doc.name
+            assert all(g.is_trivial for g in homology(Analysis(doc.spec).complex)), doc.name
     assert proved > 100
 
 
@@ -326,7 +325,7 @@ def test_one_vertex_closed_form_matches_snf_property(spec):
     # The production page (proof or Künneth closed form, no complex) against
     # Smith normal form of the pattern-built complex.
     analysis = Analysis(spec)
-    hs = tuple(homology(build_complex(spec)))
+    hs = tuple(homology(Analysis(spec).complex))
     assert not analysis.needs_complex
     assert analysis.homology == hs
     dispatched = Analysis(spec)
