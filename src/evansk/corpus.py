@@ -73,10 +73,9 @@ def companion_matrix(coeffs: Sequence[int]) -> IntMatrix:
 def polynomial_family_document(
     base: Sequence[Sequence[int]] | IntMatrix,
     polynomials: Sequence[Sequence[int]],
-    vertices: Sequence[str] | None = None,
     name: str | None = None,
 ) -> GraphDocument:
-    """Build ``M_i = q_i(A)`` and reject anything that is not source-free."""
+    """Build ``M_i = q_i(A)`` on vertices ``v0..v(n-1)``; reject anything not source-free."""
     a = base if isinstance(base, IntMatrix) else IntMatrix.from_rows(base)
     if a.rows != a.cols:
         raise CorpusError(f"base matrix must be square, got {a.shape()}")
@@ -98,9 +97,8 @@ def polynomial_family_document(
                     "not source-free"
                 )
         mats.append(m)
-    if vertices is None:
-        vertices = tuple(f"v{i}" for i in range(n))
-    spec = KGraphSpec(rank=len(mats), vertices=tuple(vertices), adjacency=tuple(mats))
+    vertices = tuple(f"v{i}" for i in range(n))
+    spec = KGraphSpec(rank=len(mats), vertices=vertices, adjacency=tuple(mats))
     report = validate(spec)
     if not report.ok:
         raise CorpusError("generated spec failed validation:\n" + report.summary())

@@ -47,15 +47,17 @@ applies:
 Only the third route builds a complex.  The groups are the E2 page's
 columns, so the page is the ``homology`` tuple itself.  The last stage
 applies the rules above to it; rules R2-R4 take ``g`` as ``D``, the same
-gcd of the determinants.
+gcd of the determinants.  ``Analysis.seconds`` times each stage run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
 from math import comb, gcd
 from collections.abc import Sequence
+from time import perf_counter
 
 from .complexes import ChainComplex, build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
@@ -128,9 +130,9 @@ def _ses_middle_candidates(g: int) -> str:
 
 
 class _stage:
-    """A pipeline stage: computed on first read and kept in the instance
-    ``__dict__``, which then shadows this descriptor.  Unlike
-    ``functools.cached_property`` before Python 3.12, it takes no lock."""
+    """A pipeline stage: run on first read, timed in the instance's ``_ends``
+    and kept in its ``__dict__``, which then shadows this descriptor.
+    Unlike ``functools.cached_property`` before Python 3.12, it takes no lock."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -141,6 +143,7 @@ class _stage:
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
+        obj._ends.append((self.name, perf_counter()))
         return value
 
 
@@ -153,20 +156,31 @@ class Analysis:
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
-    ``homology`` stage takes the first route that applies (see the module
-    notes): the trivial page when ``annihilator == 1``, then the
-    one-vertex Künneth closed form, then the ``complex`` stage and Smith
-    normal form.  ``needs_complex`` says whether it reaches the last.
-    ``verdict`` applies the first matching rule to ``homology``, the E2
-    page's columns, and carries that tuple as its ``e2``.
+    ``homology`` stage takes the first route of the module notes that
+    applies; only the last reads the ``complex`` stage.  ``verdict``
+    applies the first matching rule and carries ``homology`` as its ``e2``.
 
     A stage is a non-data descriptor, so a value assigned before the stage
-    is read stands in for it: after ``analysis.homology = hs``,
-    ``analysis.verdict`` is the rule dispatch on ``hs``.
+    is read stands in for it, and is not timed: after
+    ``analysis.homology = hs``, ``analysis.verdict`` is the rule dispatch
+    on ``hs``.  :attr:`seconds` times each stage run, in finishing order:
+
+    >>> from evansk import monoid_spec
+    >>> a = Analysis(monoid_spec([3, 5, 7]))
+    >>> a.verdict.rule
+    'R4'
+    >>> list(a.seconds)
+    ['validation', 'coadjacencies', 'determinants', 'annihilator', 'homology', 'verdict']
     """
 
     def __init__(self, spec: KGraphSpec):
         self.spec = spec
+        self._ends = [("", perf_counter())]  # (stage, when it finished); first, the creation
+
+    @property
+    def seconds(self) -> dict[str, float]:
+        """Each stage run's wall time since the previous one ended (or ``__init__`` did)."""
+        return {name: end - start for (_, start), (name, end) in pairwise(self._ends)}
 
     @_stage
     def validation(self) -> ValidationReport:
@@ -188,11 +202,6 @@ class Analysis:
         return gcd(*self.determinants)
 
     @_stage
-    def needs_complex(self) -> bool:
-        """Whether the ``homology`` stage builds the complex."""
-        return self.annihilator != 1 and not self.spec.is_monoid
-
-    @_stage
     def complex(self) -> ChainComplex:
         return build_complex(self.coadjacencies)
 
@@ -200,9 +209,9 @@ class Analysis:
     def homology(self) -> tuple[AbelianGroup, ...]:
         if self.annihilator == 1:
             return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
-        if self.needs_complex:
-            return tuple(homology(self.complex))
-        return tuple(monoid_closed_form(self.determinants))  # one vertex: det B_i = B_i
+        if self.spec.is_monoid:  # one vertex: det B_i = B_i
+            return tuple(monoid_closed_form(self.determinants))
+        return tuple(homology(self.complex))
 
     @_stage
     def verdict(self) -> KTheoryVerdict:

@@ -174,10 +174,11 @@ def test_json_matrices_row_major(monoid_file, capsys):
 
 
 def test_invalid_spec_json_exit_code(invalid_file, capsys):
-    assert main(["homology", invalid_file, "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["validation"]["valid"] is False
-    assert report["homology"] is None
+    for command in ("validate", "complex", "homology", "e2", "verdict"):
+        assert main([command, invalid_file, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["validation"]["valid"] is False
+        assert report["homology"] is report["timing"] is None, command
 
 
 def test_out_flag_writes_file(monoid_file, tmp_path, capsys):
@@ -514,6 +515,37 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
     assert len(coadjacency_builds) == (1 if status == 0 else 0)
     assert len(determinants) == (spec.rank if status == 0 else 0)
+
+
+# A multi-vertex spec with D = gcd det(B_i) = 1 (det B_1 = -1).
+TWO_VERTEX_D_1 = spec_from_matrices([[[1, 1], [1, 0]], [[2, 1], [1, 1]]])
+PAGE_STAGES = ["validation", "coadjacencies", "determinants", "annihilator"]
+
+
+@pytest.mark.parametrize("spec, route", [
+    (TWO_VERTEX_D_1, []),  # the trivial page
+    (monoid_document([3, 5, 7]).spec, []),  # g = 2: the Künneth closed form
+    (TWO_VERTEX_GCD_4, ["complex"]),  # Smith normal form
+], ids=["D=1", "one-vertex", "snf"])
+def test_timing_lists_each_stage_run_then_total(spec, route, tmp_path, capsys):
+    assert (Analysis(spec).annihilator == 1) == (spec is TWO_VERTEX_D_1)
+    path = tmp_path / "doc.json"
+    path.write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
+    homology_keys = PAGE_STAGES + route + ["homology"]
+    expected = {
+        "validate": ["validation"],
+        "complex": ["validation", "coadjacencies", "complex"],
+        "homology": homology_keys,
+        "e2": homology_keys,
+        "verdict": homology_keys + ["verdict"],
+    }
+    for command, stages in expected.items():
+        assert main([command, str(path), "--format", "json"]) == 0
+        seconds = json.loads(capsys.readouterr().out)["timing"]["seconds"]
+        assert list(seconds) == stages + ["total"], command
+        assert all(t >= 0 for t in seconds.values()), command
+        # Each figure is rounded to 1e-6 s, so the sum may gain that much per key.
+        assert sum(seconds[s] for s in stages) <= seconds["total"] + 1e-6 * len(seconds)
 
 
 @pytest.mark.parametrize("run", [

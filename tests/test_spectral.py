@@ -290,7 +290,8 @@ def test_annihilator_kills_every_group_property(spec):
     for group in homology(Analysis(spec).complex):
         if d:
             assert group.free_rank == 0 and all(d % t == 0 for t in group.torsion)
-    assert analysis.needs_complex == (d != 1 and not spec.is_monoid)
+    analysis.homology
+    assert ("complex" in analysis.seconds) == (d != 1 and not spec.is_monoid)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -326,8 +327,8 @@ def test_one_vertex_closed_form_matches_snf_property(spec):
     # Smith normal form of the pattern-built complex.
     analysis = Analysis(spec)
     hs = tuple(homology(Analysis(spec).complex))
-    assert not analysis.needs_complex
     assert analysis.homology == hs
+    assert "complex" not in analysis.seconds
     dispatched = Analysis(spec)
     dispatched.homology = hs  # the rule dispatch on the SNF groups
     assert analysis.verdict == dispatched.verdict
@@ -345,3 +346,14 @@ def test_rank_30_one_vertex_page_builds_no_complex(ms, rule, column, monkeypatch
     v = k_theory_verdict(monoid_spec(ms))
     assert v.rule == rule
     assert v.e2 == tuple(column(p) for p in range(31))
+
+
+def test_assigned_stage_is_not_timed():
+    spec = monoid_spec([3, 5, 7])
+    analysis = Analysis(spec)
+    analysis.homology = Analysis(spec).homology
+    assert analysis.verdict.rule == "R4"
+    assert list(analysis.seconds) == [
+        "validation", "coadjacencies", "determinants", "annihilator", "verdict",
+    ]
+    assert all(t >= 0 for t in analysis.seconds.values())
