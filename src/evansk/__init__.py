@@ -46,7 +46,7 @@ from .kgraph import (
     spec_from_matrices,
     validate,
 )
-from .snf import SnfResult, elementary_divisors, rank_from_divisors, smith_normal_form
+from .snf import SnfResult, elementary_divisors, smith_normal_form
 from .spectral import (
     Analysis,
     KTheoryVerdict,
@@ -96,7 +96,6 @@ __all__ = [
     "loads_documents",
     "monoid_closed_form",
     "monoid_spec",
-    "rank_from_divisors",
     "smith_normal_form",
     "spec_from_matrices",
     "validate",

@@ -14,7 +14,9 @@ Subcommands::
 it to a file.  The JSON report has the same schema for every subcommand,
 with unused sections null; each report formats the stages of one
 :class:`~evansk.spectral.Analysis`, and ``timing.seconds`` is its
-``seconds`` then ``total``.  Exit status: 0 success, 1 validation
+``seconds`` then ``total``, the command's clock from reading the
+document to the report; argument parsing and the final JSON encoding
+fall outside it.  Exit status: 0 success, 1 validation
 failure, 2 parse/structural/usage error (``--degree`` is checked before
 assembly) or an input over a size limit of :mod:`evansk.limits`, 141 when
 the reader closes stdout early.
@@ -141,9 +143,9 @@ def _validation_dict(report) -> dict:
 
 def _make_command(command: str):
     def run(args: argparse.Namespace) -> int:
+        t0 = time.perf_counter()
         doc = load_document(args.file)
         out = _report_skeleton(command, doc)
-        t0 = time.perf_counter()
         analysis = Analysis(doc.spec)
         report = analysis.validation
         out["validation"] = _validation_dict(report)

@@ -30,9 +30,8 @@ class CorpusError(ValueError):
     """Generator parameters produce an invalid spec; the message carries a witness."""
 
 
-def monoid_document(ms: Sequence[int], name: str | None = None) -> GraphDocument:
-    if name is None:
-        name = "monoid-" + "-".join(str(m) for m in ms)
+def monoid_document(ms: Sequence[int]) -> GraphDocument:
+    name = "monoid-" + "-".join(str(m) for m in ms)
     return GraphDocument(spec=monoid_spec(ms), name=name)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 
 from .complexes import ChainComplex
-from .snf import elementary_divisors, invariant_factors, rank_from_divisors
+from .snf import elementary_divisors, invariant_factors
 
 
 @dataclass(frozen=True, init=False)
@@ -121,13 +121,9 @@ def homology(cc: ChainComplex) -> list[AbelianGroup]:
     path (:class:`evansk.spectral.Analysis`) calls this only when the
     determinants of the ``B_i`` do not already prove every group zero.
     """
-    divisors = [elementary_divisors(cc.boundary(p)) for p in range(1, cc.length + 1)]
-    groups = []
-    for p in range(cc.length + 1):
-        rank_in = rank_from_divisors(divisors[p - 1]) if p >= 1 else 0
-        next_divisors = divisors[p] if p < cc.length else ()
-        rank_out = rank_from_divisors(next_divisors)
-        free = cc.ranks[p] - rank_in - rank_out
-        torsion = tuple(d for d in next_divisors if d > 1)
-        groups.append(AbelianGroup(free, torsion))
-    return groups
+    # divisors[p] and ranks[p] belong to d_p; d_0 and d_(length+1) are zero.
+    divisors = [(), *map(elementary_divisors, cc.boundaries), ()]
+    ranks = [sum(1 for d in ds if d) for ds in divisors]
+    return [AbelianGroup(cc.ranks[p] - ranks[p] - ranks[p + 1],
+                         tuple(d for d in divisors[p + 1] if d > 1))
+            for p in range(cc.length + 1)]

@@ -67,10 +67,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
 
-    def _sparse_rows(self) -> list[dict[int, int]]:
-        # Internal: one fresh dict per row, column -> nonzero entry.
-        return [{c: x for c, x in enumerate(r) if x} for r in self._data]
-
     def scaled(self, c: int) -> IntMatrix:
         return IntMatrix._raw(
             self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self._data)

@@ -128,13 +128,14 @@ def validate(spec: KGraphSpec) -> ValidationReport:
 
     Nonnegative entries and no zero row (source-free under the adjacency
     convention) are checked per matrix; commutation is checked per pair
-    with a witness entry where the two products differ.
+    by the two ``IntMatrix`` products, with a witness entry where they
+    differ.
     """
     violations: list[Violation] = []
     n = spec.num_vertices
-    rows = [[m.row(r) for r in range(n)] for m in spec.adjacency]
-    for idx, m_rows in enumerate(rows, start=1):
-        for r, row in enumerate(m_rows):
+    for idx, m in enumerate(spec.adjacency, start=1):
+        for r in range(n):
+            row = m.row(r)
             if min(row) < 0:
                 violations.extend(Violation(
                     "negative_entry", (idx, r, c),
@@ -148,24 +149,20 @@ def validate(spec: KGraphSpec) -> ValidationReport:
                 ))
     if n == 1:  # 1x1 matrices always commute
         return ValidationReport(tuple(violations))
-    cols = [tuple(zip(*m_rows)) for m_rows in rows]
+    ms = spec.adjacency
     for i in range(spec.rank):
         for j in range(i + 1, spec.rank):
-            prod_ij, prod_ji = _product(rows[i], cols[j]), _product(rows[j], cols[i])
+            prod_ij, prod_ji = ms[i] @ ms[j], ms[j] @ ms[i]
             if prod_ij == prod_ji:
                 continue
             r, c = next((r, c) for r in range(n) for c in range(n)
-                        if prod_ij[r][c] != prod_ji[r][c])
+                        if prod_ij[r, c] != prod_ji[r, c])
             violations.append(Violation(
                 "non_commuting", (i + 1, j + 1, r, c),
                 f"adjacency matrices {i + 1} and {j + 1} do not commute: "
-                f"products differ at ({r},{c}): {prod_ij[r][c]} vs {prod_ji[r][c]}",
+                f"products differ at ({r},{c}): {prod_ij[r, c]} vs {prod_ji[r, c]}",
             ))
     return ValidationReport(tuple(violations))
-
-
-def _product(rows, cols) -> list[list[int]]:
-    return [[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
 
 
 def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:

@@ -2,10 +2,10 @@
 
 :func:`elementary_divisors` serves the homology pipeline, which only
 needs ranks and divisors.  One sparse elimination on row-sparse data
-splits the matrix into 1x1 pivot blocks: +-1 pivots first (in a shortest
-row, in its sparsest unit column, to keep fill-in low), then entries of
-least absolute value.  Each split is a unimodular change of basis, so
-the divisors are the units, then the invariant factors of the other
+splits the matrix into 1x1 pivot blocks, each an entry of least absolute
+value (in a shortest row, in its sparsest column, to keep fill-in low),
+so +-1 pivots come first.  Each split is a unimodular change of basis,
+so the divisors are the units, then the invariant factors of the other
 pivots (:func:`invariant_factors`), then zeros.  Evans boundaries are
 very sparse and full of +-1 entries, so most pivots are units.
 
@@ -50,7 +50,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    units, pivots = _diagonalise(m._sparse_rows())
+    units, pivots = _diagonalise([{c: x for c, x in enumerate(m.row(i)) if x}
+                                  for i in range(m.rows)])
     factors = invariant_factors(pivots)
     # Every pivot took a row and a column; the zeros of the diagonal trail.
     ones = units + len(pivots) - len(factors)
@@ -77,28 +78,25 @@ def _diagonalise(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
     A step takes an entry of least absolute value, in a shortest row,
     in the column with the fewest entries: a Markowitz-style choice that
-    keeps fill-in low.  While a +-1 is left only the rows in ``unit``,
-    which hold one, are searched.  The step clears the pivot's column
-    from every other row by floor-division row operations.  Once the
-    column is clear, it reduces the rest of the pivot row modulo the
-    pivot: column operations that touch no other row.  A pivot left
-    alone in its row and column is split off; a remainder is smaller
-    than the pivot, so the next step picks a strictly smaller one.
-    Returns the number of +-1 pivots and the absolute values of the
-    others.
+    keeps fill-in low.  Every row is searched; no index of the rows that
+    hold a +-1 is kept.  A +-1 has the least absolute value, so unit
+    pivots come first, and once one is held longer rows are skipped.
+    The step clears the pivot's column from every other row by
+    floor-division row operations.  Once the column is clear, it reduces
+    the rest of the pivot row modulo the pivot: column operations that
+    touch no other row.  A pivot left alone in its row and column is
+    split off; a remainder is smaller than the pivot, so the next step
+    picks a strictly smaller one.  Returns the number of +-1 pivots and
+    the absolute values of the others.
     """
-    unit: set[int] = set()
     where: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
-        if 1 in row.values() or -1 in row.values():
-            unit.add(i)
     units, pivots = 0, []
     while True:
         best = None
-        for i in unit or range(len(rows)):
-            row = rows[i]
+        for i, row in enumerate(rows):
             n = len(row)
             if best is not None and least == 1 and n > length:
                 continue  # no entry of a longer row beats a unit
@@ -125,11 +123,6 @@ def _diagonalise(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
                 else:
                     del row[c]
                     where[c].discard(i)
-            values = row.values()
-            if 1 in values or -1 in values:
-                unit.add(i)
-            else:
-                unit.discard(i)
         if len(where[col]) > 1:
             continue  # remainders are smaller than the pivot; reselect
         rows[pi] = rest = {c: r for c, x in pivot.items() if (r := x % p)}
@@ -139,18 +132,11 @@ def _diagonalise(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
         if rest:  # the pivot stays, and a smaller entry is picked next
             rest[col] = p
             where[col].add(pi)
-            if 1 in rest.values() or -1 in rest.values():
-                unit.add(pi)
             continue
-        unit.discard(pi)
         if p == 1 or p == -1:
             units += 1
         else:
             pivots.append(abs(p))
-
-
-def rank_from_divisors(divisors: tuple[int, ...]) -> int:
-    return sum(1 for d in divisors if d != 0)
 
 
 def _eliminate(m: IntMatrix):

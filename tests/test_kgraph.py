@@ -12,7 +12,7 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk import kgraph, limits
+from evansk import limits
 from evansk.corpus import random_polynomial_documents
 from evansk.limits import MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
@@ -120,18 +120,18 @@ def test_spec_work_refused_before_its_matrices(monkeypatch):
 
 
 def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
-    # Validation's real multiply-adds, counted through its one product
-    # helper, are k(k-1) n^3 when n > 1, commuting or not; with each Bareiss
+    # Validation's real multiply-adds, counted through IntMatrix products,
+    # are k(k-1) n^3 when n > 1, commuting or not; with each Bareiss
     # determinant's sum(m^2 for m < n) two-product updates they stay within
     # the spec estimate k^2 n^3.
     madds = []
-    product = kgraph._product
+    product = IntMatrix.__matmul__
 
-    def counted(rows, cols):
-        madds.append(len(rows) * len(cols) * len(rows[0]))
-        return product(rows, cols)
+    def counted(a, b):
+        madds.append(a.rows * a.cols * b.cols)
+        return product(a, b)
 
-    monkeypatch.setattr(kgraph, "_product", counted)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
     rng = random.Random(5)
     specs = [doc.spec for doc in random_polynomial_documents(40, seed=5)]
     specs += [spec_from_matrices([[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]

@@ -8,7 +8,6 @@ from evansk import (
     IntMatrix,
     elementary_divisors,
     monoid_spec,
-    rank_from_divisors,
     smith_normal_form,
     snf,
     spec_from_matrices,
@@ -108,11 +107,6 @@ def test_random_certificates_and_minor_oracle():
         assert res.divisors == minor_gcd_divisors(rows)
 
 
-def test_rank_from_divisors():
-    assert rank_from_divisors((1, 2, 0, 0)) == 2
-    assert rank_from_divisors(()) == 0
-
-
 def test_entry_growth_is_handled_exactly():
     # Entries this size overflow any fixed-width pipeline immediately.
     big = 10 ** 30
@@ -149,6 +143,16 @@ def test_divisors_do_not_use_the_certified_engine(monkeypatch):
     monkeypatch.setattr(snf, "_eliminate", refuse)
     monkeypatch.setattr(snf, "smith_normal_form", refuse)
     assert [elementary_divisors(m) for m in cases] == expected
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (20, 2), (30, 1), (30, 2)])
+def test_divisors_of_many_vertex_coadjacencies(n, seed):
+    # B = I - M^T for a random 0..2 matrix M: the one-boundary shape of a
+    # many-vertex rank-1 document, past the sides the Hypothesis cases draw.
+    rng = random.Random(seed)
+    m = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+    b = IntMatrix.from_rows([[(r == c) - m[c][r] for c in range(n)] for r in range(n)])
+    assert elementary_divisors(b) == smith_normal_form(b).divisors
 
 
 @settings(max_examples=200, deadline=None)
