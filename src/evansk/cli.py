@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
@@ -35,7 +34,7 @@ from pathlib import Path
 
 from . import limits
 from .corpus import CorpusError, exhaustive_monoid_documents, random_polynomial_documents
-from .documents import DocumentError, GraphDocument, dumps_documents, load_document
+from .documents import DocumentError, GraphDocument, dumps_documents, dumps_json, load_document
 from .indexsets import labels
 from .kgraph import StructuralError
 from .render import render_differential
@@ -151,7 +150,7 @@ def _make_command(command: str):
         out["validation"] = _validation_dict(report)
         if not report.ok:
             if args.format == "json":
-                _emit(json.dumps(out, indent=2), args)
+                _emit(dumps_json(out), args)
             else:
                 _emit(report.summary(), args)
             return 1
@@ -166,33 +165,36 @@ def _make_command(command: str):
         if command == "validate":
             text = "valid"
         elif command == "complex":
-            text = _complex_report(analysis, degrees, out)
+            text = _complex_report(analysis, degrees, args.format, out)
         else:
             text = _groups_report(command, analysis, args.format, out)
         seconds = {**analysis.seconds, "total": time.perf_counter() - t0}
         out["timing"] = {"seconds": {key: round(v, 6) for key, v in seconds.items()}}
-        _emit(json.dumps(out, indent=2) if args.format == "json" else text, args)
+        _emit(dumps_json(out) if args.format == "json" else text, args)
         return 0
 
     return run
 
 
-def _complex_report(analysis: Analysis, degrees: range, out: dict) -> str:
+def _complex_report(analysis: Analysis, degrees: range, fmt: str, out: dict) -> str:
+    """The ``complex`` report: fills ``out`` for JSON, else returns the text."""
     cc, vertices = analysis.complex, analysis.spec.vertices
-    out["complex"] = {
-        "ranks": list(cc.ranks),
-        "differentials": [
-            {
-                "degree": p,
-                "rows": cc.boundary(p).rows,
-                "cols": cc.boundary(p).cols,
-                "row_labels": labels(p - 1, cc.length, vertices),
-                "col_labels": labels(p, cc.length, vertices),
-                "matrix": cc.boundary(p).to_lists(),
-            }
-            for p in degrees
-        ],
-    }
+    if fmt == "json":
+        out["complex"] = {
+            "ranks": list(cc.ranks),
+            "differentials": [
+                {
+                    "degree": p,
+                    "rows": cc.boundary(p).rows,
+                    "cols": cc.boundary(p).cols,
+                    "row_labels": labels(p - 1, cc.length, vertices),
+                    "col_labels": labels(p, cc.length, vertices),
+                    "matrix": cc.boundary(p).to_lists(),
+                }
+                for p in degrees
+            ],
+        }
+        return ""
     lines = [f"k = {cc.length}, ranks = {list(cc.ranks)}"]
     for p in degrees:
         lines.append(f"\nd_{p} ({cc.boundary(p).rows} x {cc.boundary(p).cols}):")
@@ -201,20 +203,24 @@ def _complex_report(analysis: Analysis, degrees: range, out: dict) -> str:
 
 
 def _groups_report(command: str, analysis: Analysis, fmt: str, out: dict) -> str:
-    """The ``homology``, ``e2`` and ``verdict`` reports, all read off ``analysis.homology``."""
+    """The ``homology``, ``e2`` and ``verdict`` reports, all read off ``analysis.homology``:
+    fills ``out`` for JSON, else returns the text."""
     groups = analysis.homology
     if fmt == "json":  # a text report never expands the torsion
         limits.check_report(groups)
-        out["homology"] = [g.to_dict() for g in groups]
-        out["e2"] = e2_dict(groups)
+        if command == "verdict":  # its e2 is groups: the page is written once
+            out["verdict"] = analysis.verdict.to_dict()
+            out["e2"] = out["verdict"]["e2"]
+        else:
+            out["e2"] = e2_dict(groups)
+        out["homology"] = out["e2"]["columns"]
+        return ""
     if command == "homology":
         return "\n".join(f"H_{p} = {g}" for p, g in enumerate(groups))
     if command == "e2":
         return "\n".join(["E2 page (columns repeat in every even row):",
                           *(f"  E2[{p},2q] = {g}" for p, g in enumerate(groups))])
     verdict = analysis.verdict
-    if fmt == "json":
-        out["verdict"] = verdict.to_dict()
     lines = [_verdict_line(verdict), f"justification: {verdict.justification}"]
     if verdict.commentary:
         lines.append(f"note: {verdict.commentary}")

@@ -8,6 +8,7 @@ through floats or fixed-width integer types.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 
 class IntMatrix:
@@ -84,7 +85,7 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         bt = tuple(zip(*other._data)) if other.rows else ((),) * other.cols
         out = tuple(
-            tuple(sum(map(int.__mul__, arow, bcol)) for bcol in bt)
+            tuple(sum(map(mul, arow, bcol)) for bcol in bt)
             for arow in self._data
         )
         return IntMatrix._raw(self.rows, other.cols, out)

@@ -1,5 +1,9 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evansk import (
     DocumentError,
@@ -13,6 +17,7 @@ from evansk import (
     monoid_spec,
 )
 from evansk.corpus import exhaustive_monoid_documents
+from evansk.documents import dumps_json
 
 from strategies import documents
 
@@ -102,3 +107,42 @@ def test_documents_array_wrapper_errors():
     with pytest.raises(DocumentError) as info:
         loads_documents('[{"k": 1}]')
     assert "[0]" in str(info.value)
+
+
+_json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')))
+_json_leaves = st.one_of(
+    _json_text,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_dumps_json_is_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_json_spells_non_finite_floats_as_json_does():
+    for x in (math.nan, math.inf, -math.inf):
+        assert dumps_json([x, {"x": x}]) == json.dumps([x, {"x": x}], indent=2)
+    assert dumps_json([math.nan, math.inf, -math.inf]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), [b"bytes"], {"a": frozenset()}, {1: 2}])
+def test_dumps_json_rejects_what_a_report_never_holds(value):
+    # A key that is not a str raises too, where json.dumps would stringify it.
+    with pytest.raises(TypeError):
+        dumps_json(value)

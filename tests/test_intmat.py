@@ -54,6 +54,25 @@ def test_matmul():
         a @ IntMatrix.from_rows([[1, 2, 3]])
 
 
+def test_matmul_matches_triple_loop():
+    # Entries past 2**64 and below zero, and every empty inner or outer side.
+    rng = random.Random(21)
+    shapes = [(0, 3, 2), (3, 0, 2), (0, 0, 0), (2, 3, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for n, m, p in shapes:
+        bound = rng.choice((3, 2**70))
+        a = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+        b = [[rng.randint(-bound, bound) for _ in range(p)] for _ in range(m)]
+        naive = [[0] * p for _ in range(n)]
+        for i in range(n):
+            for j in range(p):
+                for t in range(m):
+                    naive[i][j] += a[i][t] * b[t][j]
+        product = IntMatrix(n, m, a) @ IntMatrix(m, p, b)
+        assert product.shape() == (n, p)
+        assert product.to_lists() == naive
+
+
 def test_empty_shapes():
     e = IntMatrix.zeros(0, 3)
     assert (e @ IntMatrix.zeros(3, 2)).shape() == (0, 2)
