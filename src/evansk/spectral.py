@@ -37,10 +37,11 @@ every degree.  The homology stage then takes the first route that
 applies:
 
 1. ``D = 1`` proves every group zero.
-2. A one-vertex spec has ``det B_i = B_i``, so ``D`` is the gcd ``g`` of
-   the scalars, and the spec is the tensor product of the two-term
-   complexes ``Z --B_i--> Z``.  The Künneth theorem gives every group
-   from ``g`` alone (:func:`monoid_closed_form`).
+2. A one-vertex spec has ``det B_i = B_i = 1 - m_i``, read straight from
+   its loop counts, so ``D`` is the gcd ``g`` of the scalars, and the spec
+   is the tensor product of the two-term complexes ``Z --B_i--> Z``.  The
+   Künneth theorem gives every group from ``g`` alone
+   (:func:`monoid_closed_form`).  This route builds no matrix at all.
 3. Otherwise the complex is built and its boundaries go through Smith
    normal form.
 
@@ -119,8 +120,18 @@ def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
     return [AbelianGroup.cyclic(g, comb(k - 1, p)) for p in range(k)] + [TRIVIAL_GROUP]
 
 
+R4_LIST_BOUND = 10**7  # above it, R4's commentary states its family instead of listing it
+
+
 def _ses_middle_candidates(g: int) -> str:
-    """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0."""
+    """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0.
+
+    Up to :data:`R4_LIST_BOUND` they are listed, one per divisor of
+    ``g`` in ascending order (an O(g) scan); above it the family is named
+    without factoring ``g``.
+    """
+    if g > R4_LIST_BOUND:
+        return f"Z(g*d) x Z(g/d) for each divisor d of g = {g}"
     names = (
         str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d)))
         for d in range(1, g + 1)
@@ -151,14 +162,16 @@ class Analysis:
     """One spec's way to a verdict, in stages that each run at most once
     and only when something reads them:
 
-    ``validation -> coadjacencies -> determinants -> annihilator -> homology
-    -> verdict``
+    ``validation -> [coadjacencies ->] determinants -> annihilator ->
+    homology -> verdict``
 
     Every stage after ``validation`` raises
-    :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  The
-    ``homology`` stage takes the first route of the module notes that
-    applies; only the last reads the ``complex`` stage.  ``verdict``
-    applies the first matching rule and carries ``homology`` as its ``e2``.
+    :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  A
+    one-vertex spec reads its determinants from its loop counts, so only
+    its ``complex`` stage reads ``coadjacencies``.  The ``homology`` stage takes the first
+    route of the module notes that applies; only the last reads the
+    ``complex`` stage.  ``verdict`` applies the first matching rule and
+    carries ``homology`` as its ``e2``.
 
     A stage is a non-data descriptor, so a value assigned before the stage
     is read stands in for it, and is not timed: after
@@ -170,7 +183,7 @@ class Analysis:
     >>> a.verdict.rule
     'R4'
     >>> list(a.seconds)
-    ['validation', 'coadjacencies', 'determinants', 'annihilator', 'homology', 'verdict']
+    ['validation', 'determinants', 'annihilator', 'homology', 'verdict']
     """
 
     def __init__(self, spec: KGraphSpec):
@@ -186,14 +199,20 @@ class Analysis:
     def validation(self) -> ValidationReport:
         return validate(self.spec)
 
-    @_stage
-    def coadjacencies(self) -> tuple[IntMatrix, ...]:
+    def _valid_spec(self) -> KGraphSpec:
+        """The spec, once ``validation`` has passed it."""
         if not self.validation.ok:
             raise SpecValidationError(self.validation)
-        return coadjacencies(self.spec)
+        return self.spec
+
+    @_stage
+    def coadjacencies(self) -> tuple[IntMatrix, ...]:
+        return coadjacencies(self._valid_spec())
 
     @_stage
     def determinants(self) -> tuple[int, ...]:
+        if self.spec.is_monoid:  # the 1x1 B_i = 1 - m_i is its own determinant
+            return tuple(1 - m[0, 0] for m in self._valid_spec().adjacency)
         return tuple(b.det() for b in self.coadjacencies)
 
     @_stage

@@ -514,8 +514,10 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     # gcd det(B_i) = 1 proves every group zero, and a one-vertex page comes
     # from the Künneth closed form: neither assembles the complex.
     assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
-    assert len(coadjacency_builds) == (1 if status == 0 else 0)
-    assert len(determinants) == (spec.rank if status == 0 else 0)
+    # One vertex: the determinants are the loop counts' 1 - m_i, no matrix.
+    builds_bs = status == 0 and not spec.is_monoid
+    assert len(coadjacency_builds) == (1 if builds_bs else 0)
+    assert len(determinants) == (spec.rank if builds_bs else 0)
 
 
 # A multi-vertex spec with D = gcd det(B_i) = 1 (det B_1 = -1).
@@ -532,7 +534,9 @@ def test_timing_lists_each_stage_run_then_total(spec, route, tmp_path, capsys):
     assert (Analysis(spec).annihilator == 1) == (spec is TWO_VERTEX_D_1)
     path = tmp_path / "doc.json"
     path.write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
-    homology_keys = PAGE_STAGES + route + ["homology"]
+    # One vertex: the determinants are read from the loop counts.
+    page = [s for s in PAGE_STAGES if not (spec.is_monoid and s == "coadjacencies")]
+    homology_keys = page + route + ["homology"]
     expected = {
         "validate": ["validation"],
         "complex": ["validation", "coadjacencies", "complex"],
@@ -582,8 +586,9 @@ def test_library_verdict_builds_coadjacencies_once(spec, monkeypatch):
     coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
     determinants = _count_determinants(monkeypatch)
     k_theory_verdict(spec)
-    assert len(coadjacency_builds) == 1
-    assert len(determinants) == spec.rank
+    # One vertex: the determinants are the loop counts' 1 - m_i, no matrix.
+    assert len(coadjacency_builds) == (0 if spec.is_monoid else 1)
+    assert len(determinants) == (0 if spec.is_monoid else spec.rank)
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):

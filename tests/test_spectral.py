@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from evansk import (
     TRIVIAL_GROUP,
@@ -18,6 +22,7 @@ from evansk import (
     monoid_closed_form,
     monoid_spec,
     spec_from_matrices,
+    validate,
 )
 from evansk import spectral
 from evansk.corpus import random_polynomial_documents
@@ -182,6 +187,38 @@ def test_verdict_rejects_invalid_spec():
         k_theory_verdict(spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]]))
 
 
+@pytest.mark.parametrize("spec", [
+    monoid_spec([0, 3]),  # a zero row: vertex v is a source
+    monoid_spec([3, -2]),  # a negative loop count
+], ids=["zero-row", "negative"])
+def test_invalid_one_vertex_spec_raises_from_every_page_stage(spec, monkeypatch):
+    validations = []
+
+    def counted(s):
+        validations.append(s)
+        return validate(s)
+
+    monkeypatch.setattr(spectral, "validate", counted)
+    analysis = Analysis(spec)
+    for stage in ("determinants", "homology", "verdict"):
+        with pytest.raises(SpecValidationError):
+            getattr(analysis, stage)
+    assert len(validations) == 1
+    assert list(analysis.seconds) == ["validation"]
+
+
+one_vertex_loop_counts = st.integers(1, 10**30) | st.sampled_from([1, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(one_vertex_loop_counts, min_size=1, max_size=6).map(monoid_spec))
+def test_one_vertex_determinants_match_bareiss_property(spec):
+    # B_i = 1 - m_i, so m_i = 1 gives B_i = 0 and m_i = 2 gives B_i = -1.
+    analysis = Analysis(spec)
+    assert analysis.determinants == tuple(b.det() for b in coadjacencies(spec))
+    assert "coadjacencies" not in analysis.seconds
+
+
 def test_dispatch_is_total_and_unique():
     specs = [monoid_spec(ms) for ms in itertools.product((1, 2, 3, 8), repeat=2)]
     specs += [monoid_spec(ms) for ms in itertools.product((1, 3, 7), repeat=3)]
@@ -242,6 +279,42 @@ def test_verdict_r4_commentary_for_g_with_many_divisors():
     assert len(names) == 7 * 7
     assert names[:2] == ["Z1000000^2", "Z500000 x Z2000000"]
     assert names[-1] == "Z1000000000000"
+
+
+def test_verdict_r4_commentary_lists_up_to_the_bound(monkeypatch):
+    # The enumeration is kept through R4_LIST_BOUND; past it the family is named.
+    monkeypatch.setattr(spectral, "R4_LIST_BOUND", 12)
+    listed = k_theory_verdict(monoid_spec([13] * 3))  # g = 12
+    assert listed.commentary == (
+        "possible K0 up to isomorphism (not determined): "
+        "Z12^2, Z6 x Z24, Z4 x Z36, Z3 x Z48, Z2 x Z72, Z144"
+    )
+    named = k_theory_verdict(monoid_spec([14] * 3))  # g = 13
+    assert named.commentary == (
+        "possible K0 up to isomorphism (not determined): "
+        "Z(g*d) x Z(g/d) for each divisor d of g = 13"
+    )
+
+
+def test_verdict_r4_on_a_huge_gcd_returns_in_bounded_time():
+    # Scanning d = 1..g would never finish: g = 10**12 and a 4000-digit g.
+    script = (
+        "import time\n"
+        "from evansk import k_theory_verdict, monoid_spec\n"
+        "for g in (10**12, 10**3999 + 7):\n"
+        "    start = time.perf_counter()\n"
+        "    v = k_theory_verdict(monoid_spec([g + 1, 2 * g + 1, 3 * g + 1]))\n"
+        "    print(v.rule, time.perf_counter() - start, v.commentary.endswith(f'g = {g}'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [(rule, named) for rule, _, named in lines] == [("R4", "True")] * 2
+    assert all(float(seconds) < 1 for _, seconds, _ in lines)
 
 
 def _contraction(pattern, i: int, adj: list[list[int]], rows: int, cols: int) -> IntMatrix:
@@ -354,6 +427,6 @@ def test_assigned_stage_is_not_timed():
     analysis.homology = Analysis(spec).homology
     assert analysis.verdict.rule == "R4"
     assert list(analysis.seconds) == [
-        "validation", "coadjacencies", "determinants", "annihilator", "verdict",
+        "validation", "determinants", "annihilator", "verdict",
     ]
     assert all(t >= 0 for t in analysis.seconds.values())
