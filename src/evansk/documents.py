@@ -41,7 +41,9 @@ def document_to_dict(doc: GraphDocument) -> dict:
 
 def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocument:
     if not isinstance(obj, dict):
-        raise DocumentError(f"{source}: document must be a JSON object")
+        found = (f", got an array of length {len(obj)} (as evansk gen writes); pass one document"
+                 if isinstance(obj, list) else "")
+        raise DocumentError(f"{source}: document must be a JSON object{found}")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError(f"{source}: 'name' must be a string")

@@ -12,13 +12,16 @@ raise :class:`StructuralError` at construction.  Semantic defects against
 the standing hypotheses (nonnegative entries, no zero row, pairwise
 commuting matrices) are collected by :func:`validate` into a report with
 reproducible witnesses; :class:`evansk.spectral.Analysis` builds no chain
-complex from an invalid spec.
+complex from an invalid spec.  It compares products as packed rows, and
+takes dense products only for a non-commuting pair's witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import chain, combinations
+from operator import lshift, mul
 
 from . import limits
 from .intmat import IntMatrix
@@ -52,6 +55,9 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "\n".join(str(v) for v in self.violations)
+
+
+_VALID = ValidationReport(())
 
 
 class SpecValidationError(ValueError):
@@ -126,35 +132,43 @@ def spec_from_matrices(mats: Sequence[Sequence[Sequence[int]]],
 def validate(spec: KGraphSpec) -> ValidationReport:
     """Check the standing hypotheses and report every violation found.
 
-    Nonnegative entries and no zero row (source-free under the adjacency
-    convention) are checked per matrix; commutation is checked per pair
-    by the two ``IntMatrix`` products, with a witness entry where they
-    differ.
+    One scan of all rows decides whether the per-row search for negative
+    entries and zero rows (not source-free, under the adjacency convention)
+    runs.  Each row of ``M_j`` packs into one integer, a ``w``-bit slot per
+    column with ``w = (n * top**2).bit_length() + 1`` for ``top`` the largest
+    ``|entry|``, so ``sum(map(mul, row, packed_j))`` packs that row of
+    ``M_i M_j``; its signed digits stay below ``2**(w - 1)``, so equal packed
+    rows are equal rows.  Only a pair that differs takes its two ``IntMatrix``
+    products, for the first differing entry in row-major order.  Every valid
+    spec gets the same report.
     """
+    ms, n = spec.adjacency, spec.num_vertices
+    rows = [row for m in ms for row in m._data]
+    lo = min(chain.from_iterable(rows))
     violations: list[Violation] = []
-    n = spec.num_vertices
-    for idx, m in enumerate(spec.adjacency, start=1):
-        for r in range(n):
-            row = m.row(r)
-            if min(row) < 0:
-                violations.extend(Violation(
-                    "negative_entry", (idx, r, c),
-                    f"adjacency matrix {idx} has negative entry {x} at ({r},{c})",
-                ) for c, x in enumerate(row) if x < 0)
-            if not any(row):
-                violations.append(Violation(
-                    "zero_row", (idx, r),
-                    f"not source-free at vertex {spec.vertices[r]!r}: "
-                    f"row {r} of adjacency matrix {idx} is zero",
-                ))
-    if n == 1:  # 1x1 matrices always commute
-        return ValidationReport(tuple(violations))
-    ms = spec.adjacency
-    for i in range(spec.rank):
-        for j in range(i + 1, spec.rank):
-            prod_ij, prod_ji = ms[i] @ ms[j], ms[j] @ ms[i]
-            if prod_ij == prod_ji:
+    if lo < 0 or not all(map(any, rows)):
+        for idx, m in enumerate(ms, start=1):
+            for r, row in enumerate(m._data):
+                if min(row) < 0:
+                    violations.extend(Violation(
+                        "negative_entry", (idx, r, c),
+                        f"adjacency matrix {idx} has negative entry {x} at ({r},{c})",
+                    ) for c, x in enumerate(row) if x < 0)
+                if not any(row):
+                    violations.append(Violation(
+                        "zero_row", (idx, r),
+                        f"not source-free at vertex {spec.vertices[r]!r}: "
+                        f"row {r} of adjacency matrix {idx} is zero",
+                    ))
+    if n > 1:  # 1x1 matrices always commute
+        top = max(-lo, max(chain.from_iterable(rows)))
+        w = (n * top * top).bit_length() + 1
+        packed = [[sum(map(lshift, row, range(0, w * n, w))) for row in m._data] for m in ms]
+        for i, j in combinations(range(spec.rank), 2):
+            if ([sum(map(mul, row, packed[j])) for row in ms[i]._data]
+                    == [sum(map(mul, row, packed[i])) for row in ms[j]._data]):
                 continue
+            prod_ij, prod_ji = ms[i] @ ms[j], ms[j] @ ms[i]
             r, c = next((r, c) for r in range(n) for c in range(n)
                         if prod_ij[r, c] != prod_ji[r, c])
             violations.append(Violation(
@@ -162,7 +176,7 @@ def validate(spec: KGraphSpec) -> ValidationReport:
                 f"adjacency matrices {i + 1} and {j + 1} do not commute: "
                 f"products differ at ({r},{c}): {prod_ij[r, c]} vs {prod_ji[r, c]}",
             ))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)) if violations else _VALID
 
 
 def coadjacencies(spec: KGraphSpec) -> tuple[IntMatrix, ...]:

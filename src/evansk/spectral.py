@@ -212,7 +212,7 @@ class Analysis:
     @_stage
     def determinants(self) -> tuple[int, ...]:
         if self.spec.is_monoid:  # the 1x1 B_i = 1 - m_i is its own determinant
-            return tuple(1 - m[0, 0] for m in self._valid_spec().adjacency)
+            return tuple([1 - m.row(0)[0] for m in self._valid_spec().adjacency])
         return tuple(b.det() for b in self.coadjacencies)
 
     @_stage

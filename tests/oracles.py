@@ -2,7 +2,8 @@
 
 Deliberately naive implementations: cofactor-expansion determinants and
 adjugates, divisor chains from gcds of minors, the ``d o d`` witness
-from dense products, and unimodular matrices assembled from elementary
+from dense products, the standing hypotheses checked through dense
+products, and unimodular matrices assembled from elementary
 operations with the inverse tracked alongside.  Two routes to the Evans
 complex itself live here too: the paper's block recursion on the top
 coordinate, and, for one vertex, the iterated tensor of the two-term
@@ -233,17 +234,30 @@ def dense_product_witness(boundaries: Sequence[IntMatrix]) -> tuple[int, int, in
     return None
 
 
-def commutation_witnesses(mats: list[list[list[int]]]) -> list[tuple[int, int, int, int]]:
-    """``(i, j, r, c)`` for every pair ``i < j`` (1-based) of square
-    matrices whose dense products differ, at the first differing entry
-    in row-major order."""
+def validate_by_products(spec: KGraphSpec) -> list[tuple[str, tuple[int, ...], str]]:
+    """``(kind, where, message)`` of every violation, in order, found the
+    plain way: each row scanned for negative entries and zeros, and each
+    pair ``i < j`` compared through its two dense products."""
     found = []
-    for (i, a), (j, b) in itertools.combinations(enumerate(mats, start=1), 2):
-        ab = IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)
-        ba = IntMatrix.from_rows(b) @ IntMatrix.from_rows(a)
-        diff = [(r, c) for r in range(ab.rows) for c in range(ab.cols) if ab[r, c] != ba[r, c]]
+    n = spec.num_vertices
+    for idx, m in enumerate(spec.adjacency, start=1):
+        for r in range(n):
+            row = m.row(r)
+            found += [("negative_entry", (idx, r, c),
+                       f"adjacency matrix {idx} has negative entry {x} at ({r},{c})")
+                      for c, x in enumerate(row) if x < 0]
+            if not any(row):
+                found.append(("zero_row", (idx, r),
+                              f"not source-free at vertex {spec.vertices[r]!r}: "
+                              f"row {r} of adjacency matrix {idx} is zero"))
+    for (i, a), (j, b) in itertools.combinations(enumerate(spec.adjacency, start=1), 2):
+        ab, ba = a @ b, b @ a
+        diff = [(r, c) for r in range(n) for c in range(n) if ab[r, c] != ba[r, c]]
         if diff:
-            found.append((i, j, *diff[0]))
+            r, c = diff[0]
+            found.append(("non_commuting", (i, j, r, c),
+                          f"adjacency matrices {i} and {j} do not commute: "
+                          f"products differ at ({r},{c}): {ab[r, c]} vs {ba[r, c]}"))
     return found
 
 

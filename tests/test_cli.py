@@ -79,6 +79,18 @@ def test_parse_error_exits_2(content, fragment, tmp_path, capsys):
     assert fragment in err
 
 
+@pytest.mark.parametrize("command", ["validate", "complex", "homology", "e2", "verdict"])
+def test_generated_array_refused_by_name(command, tmp_path, capsys):
+    assert main(["gen", "polynomial-family", "--count", "20", "--seed", "1"]) == 0
+    path = tmp_path / "gen.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: document must be a JSON object, got an array of length 20 "
+                   "(as evansk gen writes); pass one document\n")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -12,11 +12,11 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk import limits
+from evansk import kgraph, limits
 from evansk.corpus import random_polynomial_documents
 from evansk.limits import MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
-from oracles import commutation_witnesses, permute_coordinates
+from oracles import permute_coordinates, validate_by_products
 
 
 def test_monoid_spec_is_valid():
@@ -50,14 +50,71 @@ def test_one_vertex_violations_and_messages():
     ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(
-    st.lists(st.lists(st.integers(-1, 2), min_size=n, max_size=n), min_size=n, max_size=n),
-    min_size=1, max_size=4)))
+_BIG = [s * (2**64 + d) for s in (1, -1) for d in (-2, -1, 0, 1, 2)] + [2**70, -2**70]
+_entries = st.one_of(st.integers(-1, 2), st.sampled_from(_BIG))
+
+
+@st.composite
+def _families(draw):
+    """k = 1..4 square matrices on n = 1..5 vertices; each is either drawn
+    entry by entry or is ``a I + b A`` for one shared ``A``, so commuting
+    and non-commuting pairs both occur."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    square = st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    base = draw(square)
+    mats = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            mats.append(draw(square))
+        else:
+            a, b = draw(_entries), draw(_entries)
+            mats.append([[a * (r == c) + b * x for c, x in enumerate(row)]
+                         for r, row in enumerate(base)])
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
 def test_commutation_witnesses_match_dense_products(mats):
-    found = [v.where for v in validate(spec_from_matrices(mats)).violations
-             if v.kind == "non_commuting"]
-    assert found == commutation_witnesses(mats)
+    # The whole report, in order: each non-commuting pair's witness from the
+    # dense products, and the negative entries and zero rows around it.
+    spec = spec_from_matrices(mats)
+    assert [(v.kind, v.where, v.message)
+            for v in validate(spec).violations] == validate_by_products(spec)
+
+
+def _pack(row, w):
+    return sum(x << (w * c) for c, x in enumerate(row))
+
+
+@pytest.mark.parametrize("a, b, narrow, witness", [
+    # Entries of size 1 on 3 vertices give product entries of size at most 3,
+    # so w = 3.  Row 0 is (-1, -3, 0) in M_1 M_2 and (-1, 1, -1) in M_2 M_1:
+    # a difference of (0, -4, 1), and -4 * 2**2 + 1 * 2**4 = 0.
+    ([[-1, 1, -1], [0, 0, 0], [0, -1, -1]], [[1, 1, 0], [0, -1, 0], [0, 1, 0]], 2,
+     (0, 1, -3, 1)),
+    # The largest entry is 1 but the largest |entry| is 2, so w = 5.  At the
+    # width a top of 1 would give, 3, row 2's difference (8, -1, 0) packs to 0.
+    ([[-2, 0, 0], [1, 0, 0], [-2, 0, 1]], [[-1, 0, 0], [0, -1, 0], [1, -1, 1]], 3,
+     (2, 0, 3, -5)),
+])
+def test_packed_rows_need_the_full_slot_width(a, b, narrow, witness):
+    # At the narrow width every row of M_1 M_2 packs to the same integer as
+    # the row of M_2 M_1, although a row differs; validation must not.
+    spec = spec_from_matrices([a, b])
+    ab, ba = spec.adjacency[0] @ spec.adjacency[1], spec.adjacency[1] @ spec.adjacency[0]
+    assert ab != ba
+    assert [_pack(ab.row(r), narrow) for r in range(3)] == [_pack(ba.row(r), narrow)
+                                                            for r in range(3)]
+    found = [(v.kind, v.where, v.message) for v in validate(spec).violations]
+    assert found == validate_by_products(spec)
+    r, c, x, y = witness
+    assert found[-1] == ("non_commuting", (1, 2, r, c), "adjacency matrices 1 and 2 do not "
+                         f"commute: products differ at ({r},{c}): {x} vs {y}")
+
+
+def test_valid_specs_share_one_report():
+    assert validate(monoid_spec([3, 5])) is validate(spec_from_matrices([[[1, 1], [1, 1]]] * 2))
 
 
 def test_zero_row_reported_at_vertex():
@@ -120,31 +177,46 @@ def test_spec_work_refused_before_its_matrices(monkeypatch):
 
 
 def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
-    # Validation's real multiply-adds, counted through IntMatrix products,
-    # are k(k-1) n^3 when n > 1, commuting or not; with each Bareiss
-    # determinant's sum(m^2 for m < n) two-product updates they stay within
-    # the spec estimate k^2 n^3.
-    madds = []
+    # Validation's packed kernel makes k(k-1) n^2 multiply-adds by n-slot
+    # integers when n > 1, commuting or not; counted as k(k-1) n^3 slot
+    # multiply-adds, with each Bareiss determinant's sum(m^2 for m < n)
+    # two-product updates they stay within the spec estimate k^2 n^3.  A
+    # valid spec takes no IntMatrix product; a non-commuting pair takes two,
+    # for its witness.
+    packed, products = [], []
     product = IntMatrix.__matmul__
 
-    def counted(a, b):
-        madds.append(a.rows * a.cols * b.cols)
+    def counted_mul(a, b):
+        packed.append(1)
+        return a * b
+
+    def counted_product(a, b):
+        products.append(1)
         return product(a, b)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    monkeypatch.setattr(kgraph, "mul", counted_mul)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_product)
     rng = random.Random(5)
     specs = [doc.spec for doc in random_polynomial_documents(40, seed=5)]
     specs += [spec_from_matrices([[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
                                   for _ in range(k)])
               for n, k in ((rng.randint(1, 7), rng.randint(1, 5)) for _ in range(40))]
-    assert any(not validate(spec).ok for spec in specs)
+    reports = []
     for spec in specs:
         k, n = spec.rank, spec.num_vertices
-        madds.clear()
-        validate(spec)
-        assert sum(madds) == (k * (k - 1) * n ** 3 if n > 1 else 0)
+        packed.clear()
+        products.clear()
+        report = validate(spec)
+        reports.append(report)
+        assert len(packed) == (k * (k - 1) * n * n if n > 1 else 0)
         bareiss = k * 2 * sum(m * m for m in range(n))
-        assert sum(madds) + bareiss <= limits.spec_madds(k, n)
+        assert len(packed) * n + bareiss <= limits.spec_madds(k, n)
+        pairs = sum(v.kind == "non_commuting" for v in report.violations)
+        assert len(products) == 2 * pairs
+        if report.ok:
+            assert products == []
+    assert any(r.ok and s.num_vertices > 1 for r, s in zip(reports, specs))
+    assert any(v.kind == "non_commuting" for r in reports for v in r.violations)
 
 
 def test_coadjacency_examples():
