@@ -13,7 +13,7 @@ the standing hypotheses (nonnegative entries, no zero row, pairwise
 commuting matrices) are collected by :func:`validate` into a report with
 reproducible witnesses; :class:`evansk.spectral.Analysis` builds no chain
 complex from an invalid spec.  It compares products as packed rows, and
-takes dense products only for a non-commuting pair's witness.
+reads a non-commuting pair's witness from them.
 """
 
 from __future__ import annotations
@@ -138,8 +138,10 @@ def validate(spec: KGraphSpec) -> ValidationReport:
     column with ``w = (n * top**2).bit_length() + 1`` for ``top`` the largest
     ``|entry|``, so ``sum(map(mul, row, packed_j))`` packs that row of
     ``M_i M_j``; its signed digits stay below ``2**(w - 1)``, so equal packed
-    rows are equal rows.  Only a pair that differs takes its two ``IntMatrix``
-    products, for the first differing entry in row-major order.  Every valid
+    rows are equal rows.  A pair that differs is reported at its first
+    differing entry in row-major order, read from the packed rows: the lowest
+    set bit of ``x ^ y`` lies in the lowest differing slot, and ``2**(w - 1)``
+    added to every slot makes each digit a plain ``w``-bit field.  Every valid
     spec gets the same report.
     """
     ms, n = spec.adjacency, spec.num_vertices
@@ -165,16 +167,19 @@ def validate(spec: KGraphSpec) -> ValidationReport:
         w = (n * top * top).bit_length() + 1
         packed = [[sum(map(lshift, row, range(0, w * n, w))) for row in m._data] for m in ms]
         for i, j in combinations(range(spec.rank), 2):
-            if ([sum(map(mul, row, packed[j])) for row in ms[i]._data]
-                    == [sum(map(mul, row, packed[i])) for row in ms[j]._data]):
+            ij = [sum(map(mul, row, packed[j])) for row in ms[i]._data]
+            ji = [sum(map(mul, row, packed[i])) for row in ms[j]._data]
+            if ij == ji:
                 continue
-            prod_ij, prod_ji = ms[i] @ ms[j], ms[j] @ ms[i]
-            r, c = next((r, c) for r in range(n) for c in range(n)
-                        if prod_ij[r, c] != prod_ji[r, c])
+            r = next(r for r in range(n) if ij[r] != ji[r])
+            diff = ij[r] ^ ji[r]
+            c, half = ((diff & -diff).bit_length() - 1) // w, 1 << (w - 1)
+            bias = sum(half << s for s in range(0, w * n, w))
+            x, y = (((v + bias) >> (w * c) & (2 * half - 1)) - half for v in (ij[r], ji[r]))
             violations.append(Violation(
                 "non_commuting", (i + 1, j + 1, r, c),
                 f"adjacency matrices {i + 1} and {j + 1} do not commute: "
-                f"products differ at ({r},{c}): {prod_ij[r, c]} vs {prod_ji[r, c]}",
+                f"products differ at ({r},{c}): {x} vs {y}",
             ))
     return ValidationReport(tuple(violations)) if violations else _VALID
 

@@ -23,7 +23,7 @@ def _check(amount: int, limit: int, what: str, hint: str = "") -> None:
 
 def spec_madds(k: int, n: int) -> int:
     """Bounds validation's packed products (``k(k-1) n^2`` multiply-adds by ``n``-slot
-    integers when ``n > 1``) plus ``k`` determinants."""
+    integers when ``n > 1``, witnesses included) plus ``k`` determinants."""
     return k * k * n ** 3
 
 

@@ -97,15 +97,32 @@ def _pack(row, w):
     # width a top of 1 would give, 3, row 2's difference (8, -1, 0) packs to 0.
     ([[-2, 0, 0], [1, 0, 0], [-2, 0, 1]], [[-1, 0, 0], [0, -1, 0], [1, -1, 1]], 3,
      (2, 0, 3, -5)),
+    # The rows below have no narrow collision; they test reading the witness
+    # back out of the packed rows.  Row 0 is (-1, -1, -1) against (-1, 1, 1):
+    # slot 0 is negative in both, so slot 1 is read across a borrow.
+    ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], None,
+     (0, 1, -1, 1)),
+    # The first difference is in the last column, the top slot of row 0.
+    ([[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 2]], None,
+     (0, 2, 2, 1)),
+    # w = 9 and slot 1 differs by 128 = 2**7: its lowest set bit is 7 bits
+    # into the slot.
+    ([[8, 8], [1, 0]], [[0, 8], [1, 8]], None, (0, 1, 128, 0)),
+    # Entries past 2**64, one of them negative; only the last row differs.
+    ([[2**64 + 7, 0, 0], [0, 2**64 + 7, 0], [-2**70, 0, 2**64 + 7]],
+     [[2**64 + 7, 0, 0], [0, 2**64 + 7, 0], [0, 0, 2**64 + 8]], None,
+     (2, 0, -2**70 * (2**64 + 7), -2**70 * (2**64 + 8))),
 ])
 def test_packed_rows_need_the_full_slot_width(a, b, narrow, witness):
     # At the narrow width every row of M_1 M_2 packs to the same integer as
-    # the row of M_2 M_1, although a row differs; validation must not.
+    # the row of M_2 M_1, although a row differs; validation must not.  Its
+    # witness is the first differing entry of the dense products.
     spec = spec_from_matrices([a, b])
     ab, ba = spec.adjacency[0] @ spec.adjacency[1], spec.adjacency[1] @ spec.adjacency[0]
     assert ab != ba
-    assert [_pack(ab.row(r), narrow) for r in range(3)] == [_pack(ba.row(r), narrow)
-                                                            for r in range(3)]
+    if narrow is not None:
+        assert [_pack(ab.row(r), narrow) for r in range(3)] == [_pack(ba.row(r), narrow)
+                                                                for r in range(3)]
     found = [(v.kind, v.where, v.message) for v in validate(spec).violations]
     assert found == validate_by_products(spec)
     r, c, x, y = witness
@@ -180,9 +197,9 @@ def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
     # Validation's packed kernel makes k(k-1) n^2 multiply-adds by n-slot
     # integers when n > 1, commuting or not; counted as k(k-1) n^3 slot
     # multiply-adds, with each Bareiss determinant's sum(m^2 for m < n)
-    # two-product updates they stay within the spec estimate k^2 n^3.  A
-    # valid spec takes no IntMatrix product; a non-commuting pair takes two,
-    # for its witness.
+    # two-product updates they stay within the spec estimate k^2 n^3.  No
+    # spec, valid or not, takes an IntMatrix product: a non-commuting pair's
+    # witness is read from the packed rows.
     packed, products = [], []
     product = IntMatrix.__matmul__
 
@@ -201,22 +218,24 @@ def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
     specs += [spec_from_matrices([[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
                                   for _ in range(k)])
               for n, k in ((rng.randint(1, 7), rng.randint(1, 5)) for _ in range(40))]
+    # Rank 4 on 6 vertices with every pair non-commuting: 2 592 slot
+    # multiply-adds against the estimate 3 456, witnesses included.
+    specs.append(spec_from_matrices([[[rng.randint(0, 2) for _ in range(6)] for _ in range(6)]
+                                     for _ in range(4)]))
+    products.clear()  # the polynomial documents are drawn with products
     reports = []
     for spec in specs:
         k, n = spec.rank, spec.num_vertices
         packed.clear()
-        products.clear()
         report = validate(spec)
         reports.append(report)
         assert len(packed) == (k * (k - 1) * n * n if n > 1 else 0)
         bareiss = k * 2 * sum(m * m for m in range(n))
         assert len(packed) * n + bareiss <= limits.spec_madds(k, n)
-        pairs = sum(v.kind == "non_commuting" for v in report.violations)
-        assert len(products) == 2 * pairs
-        if report.ok:
-            assert products == []
+    assert products == []
+    assert [v.kind for v in reports[-1].violations] == ["non_commuting"] * 6
+    assert len(packed) * 6 == 2_592 < limits.spec_madds(4, 6) == 3_456
     assert any(r.ok and s.num_vertices > 1 for r, s in zip(reports, specs))
-    assert any(v.kind == "non_commuting" for r in reports for v in r.violations)
 
 
 def test_coadjacency_examples():
