@@ -160,6 +160,8 @@ def _make_command(command: str):
             if not 1 <= args.degree <= k:
                 raise ReportError(f"degree {args.degree} out of range 1..{k}")
             degrees = range(args.degree, args.degree + 1)
+        if command in ("homology", "e2", "verdict"):  # before any text is made of the groups
+            limits.check_digits(t for g in analysis.homology for t, _ in g.runs)
         stage = {"validate": "validation", "e2": "homology"}.get(command, command)
         getattr(analysis, stage)  # runs, and so times, every stage the report reads
         if command == "validate":

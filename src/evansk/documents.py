@@ -76,11 +76,15 @@ def document_from_dict(obj: object, *, source: str = "<document>") -> GraphDocum
     return GraphDocument(spec=spec, name=name)
 
 
-def _parse(text: str | Path, source: str) -> object:
-    """The JSON value of ``text``, or of the UTF-8 file it names; bad bytes, nesting
-    too deep and integers too long raise :class:`DocumentError` like bad syntax."""
+def _parse(text: str | bytes, source: str) -> object:
+    """The JSON value of ``text``, or of a file's bytes read as UTF-8; bad bytes,
+    nesting too deep and integers too long raise :class:`DocumentError` like bad syntax."""
     try:
-        return json.loads(text.read_text(encoding="utf-8") if isinstance(text, Path) else text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+            if "\r" in text:  # the newlines a text-mode read would give, for error positions
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -92,7 +96,13 @@ def loads_document(text: str, *, source: str = "<string>") -> GraphDocument:
 
 
 def load_document(path: str | Path) -> GraphDocument:
-    return document_from_dict(_parse(Path(path), str(path)), source=str(path))
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:  # the message names the path as pathlib normalises it
+        exc.filename = str(Path(path))
+        raise
+    return document_from_dict(_parse(data, str(path)), source=str(path))
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -103,39 +113,71 @@ def dumps_json(value: object) -> str:
     tuples, str, int, float, bool and None; anything else raises :class:`TypeError`.
 
     With an ``indent``, :mod:`json` encodes in pure Python; this writer makes fewer
-    calls per value and escapes strings in C.
+    calls per value and escapes strings in C.  A report holds one group's dict in
+    several places, so a dict met a second time in one call keeps its text, and from
+    the third time on that text is only re-indented: an encoded string never holds a
+    raw newline.  Nothing is kept on a first sighting, since most dicts are met only
+    once, and lists are never kept: a ``complex`` report has thousands of rows and
+    labels, each met once.
     """
-    return _json(value, "\n")
+    return _json(value, "\n", {})
 
 
-def _json(value: object, newline: str) -> str:
-    # strings and containers first: they are most of a report
+def _json(value: object, newline: str, seen: dict[int, tuple[str, str] | None]) -> str:
+    # ``seen`` maps the id of each dict met so far to None, or, once met twice, to
+    # its text and the newline that text was written at.  The ids stay unique
+    # because ``value`` holds every dict alive until the call returns.
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is dict:
+        if not value:
+            return "{}"
+        key = id(value)
+        kept = seen.get(key, False)
+        if kept:
+            text, old = kept
+            return text if old == newline else text.replace(old, newline)
+        text = _dict(value, newline, seen)
+        seen[key] = None if kept is False else (text, newline)
+        return text
+    if cls is int:
+        return int.__repr__(value)
+    if cls is list:
+        return _list(value, newline, seen)
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    # the rest, and subclasses such as a str enum, as json encodes them
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        # a key that is not a str raises TypeError in encode_basestring_ascii
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dict(value, newline, seen) if value else "{}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
-    if value is None:
-        return "null"
+        return _list(value, newline, seen)
     if value is True:
         return "true"
     if value is False:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_WORDS.get(text, text)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dict(value: dict, newline: str, seen: dict) -> str:
+    inner = newline + "  "
+    # a key that is not a str raises TypeError in encode_basestring_ascii
+    items = [encode_basestring_ascii(k) + ": " + _json(v, inner, seen) for k, v in value.items()]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _list(value: list | tuple, newline: str, seen: dict) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_json(v, inner, seen) for v in value]) + newline + "]"
 
 
 def dumps_document(doc: GraphDocument) -> str:
@@ -143,7 +185,12 @@ def dumps_document(doc: GraphDocument) -> str:
 
 
 def dumps_documents(docs: list[GraphDocument]) -> str:
-    return dumps_json([document_to_dict(d) for d in docs]) + "\n"
+    """``dumps_json`` of the documents' list.  Each document is written by itself,
+    one level in, so no dict of the whole corpus is held at once; each gets its own
+    ``seen``, since its dicts are freed, and their ids free, once it is written."""
+    if not docs:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join([_json(document_to_dict(d), "\n  ", {}) for d in docs]) + "\n]\n"
 
 
 def loads_documents(text: str, *, source: str = "<string>") -> list[GraphDocument]:

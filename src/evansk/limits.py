@@ -3,6 +3,7 @@
 A rank-``k`` complex on ``n`` vertices has ``C(k, p) * n`` generators in degree ``p``, so each
 estimate is known before work starts.  Checks read these globals when run; no flag lifts one."""
 
+import sys
 from math import comb
 
 MAX_RANK = 1000  # validation compares every pair of coordinates
@@ -57,6 +58,20 @@ def check_report(groups) -> None:
     _check(entries, MAX_REPORT_TORSION,
            f"the JSON report would list {entries} torsion entries per page",
            "; --format text prints them as powers")
+
+
+def check_digits(values) -> None:
+    """Every int of ``values`` (each ``>= 0``) has at most ``sys.get_int_max_str_digits()``
+    decimal digits (0: no limit), so a report can write it; counted without ``str``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before Python 3.10.7
+    n = max(values, default=0)
+    bits = n.bit_length()
+    if limit and bits > 3 * limit:  # fewer bits hold at most `limit` digits
+        digits = (bits - 1) * 3010299956 // 10**10 + 1  # log10 2 > 0.3010299956: at most one short
+        while n >= 10 ** digits:
+            digits += 1
+        _check(digits, limit, f"the report would write an integer of {digits} digits",
+               " digits that Python writes")
 
 
 def check_documents(values: int, k: int | None = None) -> None:

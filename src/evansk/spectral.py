@@ -60,6 +60,7 @@ from math import comb, gcd
 from collections.abc import Sequence
 from time import perf_counter
 
+from . import limits
 from .complexes import ChainComplex, build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
 from .intmat import IntMatrix
@@ -67,8 +68,19 @@ from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacen
 
 
 def e2_dict(columns: Sequence[AbelianGroup]) -> dict:
-    """The JSON form of the E2 page whose columns ``0..k`` are ``columns``."""
-    return {"k": len(columns) - 1, "columns": [g.to_dict() for g in columns]}
+    """The JSON form of the E2 page whose columns ``0..k`` are ``columns``.
+
+    Equal columns share one dict, so the result is read-only."""
+    return _e2_dict(columns, _group_dicts(columns))
+
+
+def _group_dicts(groups) -> dict:
+    """One ``to_dict()`` per distinct group of ``groups``, keyed by the group; None maps to None."""
+    return {g: None if g is None else g.to_dict() for g in set(groups)}
+
+
+def _e2_dict(columns: Sequence[AbelianGroup], dicts: dict) -> dict:
+    return {"k": len(columns) - 1, "columns": [dicts[g] for g in columns]}
 
 
 class VerdictKind(str, Enum):
@@ -90,19 +102,19 @@ class KTheoryVerdict:
     commentary: str | None = None
 
     def to_dict(self) -> dict:
+        """The JSON form of the verdict.  ``K0``, ``K1``, ``ses`` and the page's
+        columns share one dict per distinct group, so the result is read-only."""
+        ses = self.ses
+        dicts = _group_dicts((*self.e2, *(ses or ()), self.k0, self.k1))
         return {
             "kind": self.kind.value,
-            "K0": self.k0.to_dict() if self.k0 is not None else None,
-            "K1": self.k1.to_dict() if self.k1 is not None else None,
-            "ses": (
-                {"sub": self.ses[0].to_dict(), "quotient": self.ses[1].to_dict()}
-                if self.ses is not None
-                else None
-            ),
+            "K0": dicts[self.k0],
+            "K1": dicts[self.k1],
+            "ses": None if ses is None else {"sub": dicts[ses[0]], "quotient": dicts[ses[1]]},
             "rule": self.rule,
             "justification": self.justification,
             "commentary": self.commentary,
-            "e2": e2_dict(self.e2),
+            "e2": _e2_dict(self.e2, dicts),
         }
 
 
@@ -268,6 +280,7 @@ class Analysis:
                                   "every E2 entry vanishes",
                 )
             if k == 3:
+                limits.check_digits((g,))  # before g is written into the text below
                 zg = AbelianGroup.cyclic(g)
                 return KTheoryVerdict(
                     kind=VerdictKind.SHORT_EXACT_SEQUENCE, rule="R4", e2=hs,

@@ -395,6 +395,59 @@ def test_torsion_entries_estimate():
         assert limits.report_entries(hs) == sum(len(g.torsion) for g in hs) < 1000
 
 
+@pytest.fixture
+def int_digits():
+    """Sets Python's limit on the digits ``str`` writes, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes integers of any length")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["homology", "e2", "verdict"])
+def test_torsion_order_past_the_digit_limit_exits_2(command, fmt, int_digits, tmp_path, capsys):
+    # Rank 1 on 3 vertices with 3 001-digit loop counts: H0 has a 9 000-digit order.
+    int_digits(4300)
+    a = 10**3000
+    path = tmp_path / "digits.json"
+    path.write_text(dumps_document(GraphDocument(
+        spec=spec_from_matrices([[[a, 1, 0], [0, a, 1], [1, 0, a]]]))), encoding="utf-8")
+    assert main([command, str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the report would write an integer of 9000 digits, over the "
+                            "limit of 4300 digits that Python writes\n")
+
+
+def test_digit_check_counts_exactly_from_bit_lengths(int_digits):
+    int_digits(0)
+    values = [n + e for b in range(2120, 2140) for n in (2**b, 10 ** (b * 3 // 10)) for e in (-1, 0)]
+    digits = [len(str(n)) for n in values]
+    int_digits(640)
+    for n, d in zip(values, digits):
+        if d <= 640:
+            limits.check_digits([3, n])
+        else:
+            with pytest.raises(limits.LimitError, match=f"^the report would write an integer of {d} "):
+                limits.check_digits([n, 3])
+    limits.check_digits([10**640 - 1])
+    with pytest.raises(limits.LimitError):
+        limits.check_digits([10**640])
+    int_digits(0)
+    limits.check_digits([10**10000])
+
+
+def test_r4_gcd_past_the_digit_limit_is_a_limit_error(int_digits):
+    int_digits(640)
+    g = 10**700
+    spec = spec_from_matrices([[[g + 1]], [[2 * g + 1]], [[3 * g + 1]]])
+    assert Analysis(spec).homology[0] == AbelianGroup.cyclic(g)
+    with pytest.raises(limits.LimitError, match="^the report would write an integer of 701 digits"):
+        k_theory_verdict(spec)
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_report_torsion_limit_boundary(fmt, tmp_path, monkeypatch, capsys):
     # [3, 5, 7] lists 4 torsion entries per page, [3, 5, 7, 9] lists 8.

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+from collections import OrderedDict
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,8 @@ from evansk import (
     monoid_spec,
 )
 from evansk.corpus import exhaustive_monoid_documents
-from evansk.documents import dumps_json
+import evansk.documents as evansk_documents
+from evansk.documents import dumps_json, load_document
 
 from strategies import documents
 
@@ -133,6 +137,79 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_dumps_json_is_json_dumps_indent_2(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def _shared_values(draw):
+    # One dict and one list, each met at several depths and several times in a
+    # list: the dict's later sightings reuse its text, re-indented or not.
+    shared = draw(st.dictionaries(_json_text, _json_values, min_size=1, max_size=3))
+    row = draw(st.lists(_json_values, min_size=1, max_size=3))
+    nest = {"dict": shared, "row": row, "both": [shared, row, shared]}
+    parts = st.sampled_from([shared, row, nest, [shared, [shared, row]], {"in": nest, "again": shared}])
+    return draw(st.lists(parts, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_values())
+def test_dumps_json_of_shared_objects_is_json_dumps_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_json_encodes_a_dict_on_its_first_two_sightings_only(monkeypatch):
+    group = {"free_rank": 0, "torsion": [2, 2], "pretty": "Z2^2"}
+    row = [1, [2]]
+    value = {"a": group, "b": [group, {"c": group}], "d": [group] * 4, "rows": [row, [row], row]}
+    encode, encoded = evansk_documents._dict, []
+
+    def counted(value, newline, seen):
+        encoded.append(value)
+        return encode(value, newline, seen)
+
+    monkeypatch.setattr(evansk_documents, "_dict", counted)
+    assert dumps_json(value) == json.dumps(value, indent=2)
+    assert sum(d is group for d in encoded) == 2
+
+
+class _Kind(str, Enum):
+    A = "a"
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+def test_dumps_json_writes_subclasses_as_json_does():
+    value = [_Kind.A, {"k": _Small.ONE, "kind": _Kind.A}, OrderedDict(x=[True, 1.5]), _Small.ONE]
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_dumps_documents_is_json_dumps_indent_2(count):
+    docs = exhaustive_monoid_documents(2, range(1, 4))[:count]
+    assert dumps_documents(docs) == json.dumps([document_to_dict(d) for d in docs], indent=2) + "\n"
+
+
+def test_load_document_refuses_bad_bytes_and_reads_like_text_mode(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"k": 1, "name": "\xff"}')
+    with pytest.raises(DocumentError, match="^" + str(bad) + ": 'utf-8' codec can't decode"):
+        load_document(bad)
+    # A lone carriage return ends a line, as a text-mode read would have it.
+    for newline in ("\r", "\r\n"):
+        text = newline.join(['{"k": 1,', '"vertices": ["v"],', '"adjacency": ]', "}"])
+        path = tmp_path / "cr.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(DocumentError, match=r"line 3 column 14: Expecting value$"):
+            load_document(path)
+        path.write_bytes(text.replace('"adjacency": ]', '"adjacency": [[[2]]]').encode())
+        assert load_document(path).spec == monoid_spec([2])
+    # A missing file or a directory is the operating system's error, not a
+    # document's, and names the path as pathlib writes it.
+    with pytest.raises(IsADirectoryError, match=re.escape(f"'{tmp_path}'") + "$"):
+        load_document(f"{tmp_path}/.//")
+    with pytest.raises(FileNotFoundError, match=re.escape(f"'{tmp_path}/none.json'") + "$"):
+        load_document(f"{tmp_path}//./none.json")
 
 
 def test_dumps_json_spells_non_finite_floats_as_json_does():

@@ -262,6 +262,31 @@ def test_verdict_serialization_shape():
     assert len(d["e2"]["columns"]) == 4
 
 
+@pytest.mark.parametrize("spec", [
+    monoid_spec([2, 4]),  # R1
+    monoid_spec([1, 1]),  # R2
+    monoid_spec([3, 5, 7]),  # R4
+    monoid_spec([3, 5, 7, 9]),  # R8
+    spec_from_matrices([[[2, 2], [2, 2]]] * 3),  # R7 with a sequence
+    *(d.spec for d in random_polynomial_documents(20, seed=5)),
+])
+def test_verdict_dict_holds_one_dict_per_distinct_group(spec):
+    v = k_theory_verdict(spec)
+    d = v.to_dict()
+    placed = [(g, d[key]) for g, key in ((v.k0, "K0"), (v.k1, "K1")) if g is not None]
+    if v.ses is not None:
+        placed += [(v.ses[0], d["ses"]["sub"]), (v.ses[1], d["ses"]["quotient"])]
+    placed += list(zip(v.e2, d["e2"]["columns"], strict=True))
+    ids = {}
+    for g, g_dict in placed:
+        assert g_dict == g.to_dict()
+        ids.setdefault(g, set()).add(id(g_dict))
+    assert all(len(same) == 1 for same in ids.values())
+    page = spectral.e2_dict(v.e2)
+    assert page == d["e2"]
+    assert len({id(c) for c in page["columns"]}) == len(set(v.e2))
+
+
 def test_verdict_r4_large_prime_gcd_commentary():
     g = 10 ** 6 + 3  # prime: the candidates are Zg^2 and Z(g^2)
     v = k_theory_verdict(monoid_spec([g + 1] * 3))
