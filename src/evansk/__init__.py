@@ -23,14 +23,11 @@ from .documents import (
     dumps_documents,
     load_document,
     loads_document,
-    loads_documents,
 )
 from .homology import TRIVIAL_GROUP, AbelianGroup, homology
 from .indexsets import (
-    BASEPOINT,
     IndexTuple,
     boundary_pattern,
-    delete_coordinate,
     enumerate_tuples,
     format_index_tuple,
 )
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "Analysis",
-    "BASEPOINT",
     "ChainComplex",
     "ChainComplexError",
     "DocumentError",
@@ -80,7 +76,6 @@ __all__ = [
     "build_complex",
     "build_differential_direct",
     "coadjacencies",
-    "delete_coordinate",
     "differential_product_witness",
     "document_from_dict",
     "document_to_dict",
@@ -93,7 +88,6 @@ __all__ = [
     "k_theory_verdict",
     "load_document",
     "loads_document",
-    "loads_documents",
     "monoid_closed_form",
     "monoid_spec",
     "smith_normal_form",

@@ -49,6 +49,7 @@ class ChainComplexError(ValueError):
     """The boundary maps fail d o d = 0; carries the offending entry."""
 
     def __init__(self, degree: int, row: int, col: int, value: int):
+        limits.check_digits((abs(value),))  # LimitError instead, if the entry cannot be written
         self.degree = degree
         self.row = row
         self.col = col
@@ -122,7 +123,8 @@ def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
     """Boundary of degree ``p``, filled in from the signed-deletion pattern.
 
     Rows follow the canonical order of degree ``p - 1``, columns of
-    degree ``p``; the caller is responsible for validating the spec.
+    degree ``p``; the caller is responsible for validating the spec.  No
+    report calls it; it stays because ``perfbench/reference.py`` does.
     """
     if not 1 <= p <= spec.rank:
         raise ValueError(f"degree {p} out of range 1..{spec.rank}")

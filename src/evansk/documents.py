@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 
 from .intmat import IntMatrix
@@ -105,12 +106,11 @@ def load_document(path: str | Path) -> GraphDocument:
     return document_from_dict(_parse(data, str(path)), source=str(path))
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def dumps_json(value: object) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed dicts, lists,
-    tuples, str, int, float, bool and None; anything else raises :class:`TypeError`.
+    """``json.dumps(value, indent=2)``, byte for byte, for values built of exactly
+    these seven types: str-keyed dicts, lists, str, int, float, bool and None.
+    Anything else, a tuple or a subclass such as a str enum included, raises
+    :class:`TypeError`.
 
     With an ``indent``, :mod:`json` encodes in pure Python; this writer makes fewer
     calls per value and escapes strings in C.  A report holds one group's dict in
@@ -147,23 +147,11 @@ def _json(value: object, newline: str, seen: dict[int, tuple[str, str] | None]) 
         return _list(value, newline, seen)
     if value is None:
         return "null"
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_WORDS.get(text, text)
-    # the rest, and subclasses such as a str enum, as json encodes them
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
-        return _dict(value, newline, seen) if value else "{}"
-    if isinstance(value, (list, tuple)):
-        return _list(value, newline, seen)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if cls is float:  # json writes nan and the infinities as NaN, Infinity, -Infinity
+        return float.__repr__(value) if isfinite(value) else json.dumps(value)
+    if cls is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _dict(value: dict, newline: str, seen: dict) -> str:
@@ -173,7 +161,7 @@ def _dict(value: dict, newline: str, seen: dict) -> str:
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-def _list(value: list | tuple, newline: str, seen: dict) -> str:
+def _list(value: list, newline: str, seen: dict) -> str:
     if not value:
         return "[]"
     inner = newline + "  "
@@ -192,9 +180,3 @@ def dumps_documents(docs: list[GraphDocument]) -> str:
         return "[]\n"
     return "[\n  " + ",\n  ".join([_json(document_to_dict(d), "\n  ", {}) for d in docs]) + "\n]\n"
 
-
-def loads_documents(text: str, *, source: str = "<string>") -> list[GraphDocument]:
-    obj = _parse(text, source)
-    if not isinstance(obj, list):
-        raise DocumentError(f"{source}: expected a JSON array of documents")
-    return [document_from_dict(d, source=f"{source}[{i}]") for i, d in enumerate(obj)]

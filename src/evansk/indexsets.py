@@ -30,9 +30,6 @@ from functools import lru_cache
 
 IndexTuple = tuple[int, ...]
 
-#: The unique degree-0 index tuple.
-BASEPOINT: IndexTuple = ()
-
 
 @lru_cache(maxsize=None)
 def enumerate_tuples(p: int, k: int) -> tuple[IndexTuple, ...]:
@@ -44,24 +41,11 @@ def enumerate_tuples(p: int, k: int) -> tuple[IndexTuple, ...]:
     if p < 0 or k < 0:
         raise ValueError(f"degree and rank must be nonnegative, got p={p}, k={k}")
     if p == 0:
-        return (BASEPOINT,)
+        return ((),)
     if p > k:
         return ()
     with_k = tuple(a + (k,) for a in enumerate_tuples(p - 1, k - 1))
     return with_k + enumerate_tuples(p, k - 1)
-
-
-def delete_coordinate(a: IndexTuple, i: int) -> IndexTuple:
-    """Remove the ``i``-th coordinate (1-based) of ``a``.
-
-    >>> delete_coordinate((1, 3, 4), 2)
-    (1, 4)
-    >>> delete_coordinate((1,), 1)
-    ()
-    """
-    if not 1 <= i <= len(a):
-        raise ValueError(f"coordinate {i} out of range for tuple of length {len(a)}")
-    return a[: i - 1] + a[i:]
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +64,7 @@ def boundary_pattern(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """
     rows = {a: row for row, a in enumerate(enumerate_tuples(p - 1, k))}
     return tuple(
-        (rows[delete_coordinate(a, i)], col, a[i - 1], 1 if i % 2 else -1)
+        (rows[a[:i - 1] + a[i:]], col, a[i - 1], 1 if i % 2 else -1)
         for col, a in enumerate(enumerate_tuples(p, k))
         for i in range(1, p + 1)
     )

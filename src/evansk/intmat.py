@@ -49,10 +49,6 @@ class IntMatrix:
         return cls(rows, cols, data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls._raw(rows, cols, ((0,) * cols,) * rows)
-
-    @classmethod
     def identity(cls, n: int) -> IntMatrix:
         return cls._raw(
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

@@ -142,13 +142,15 @@ def validate(spec: KGraphSpec) -> ValidationReport:
     differing entry in row-major order, read from the packed rows: the lowest
     set bit of ``x ^ y`` lies in the lowest differing slot, and ``2**(w - 1)``
     added to every slot makes each digit a plain ``w``-bit field.  Every valid
-    spec gets the same report.
+    spec gets the same report.  An entry a message would write past Python's
+    digit limit raises :class:`~evansk.limits.LimitError` instead.
     """
     ms, n = spec.adjacency, spec.num_vertices
     rows = [row for m in ms for row in m._data]
     lo = min(chain.from_iterable(rows))
     violations: list[Violation] = []
     if lo < 0 or not all(map(any, rows)):
+        limits.check_digits((-lo,))  # lo <= 0: the lowest entry, written if negative
         for idx, m in enumerate(ms, start=1):
             for r, row in enumerate(m._data):
                 if min(row) < 0:
@@ -176,6 +178,7 @@ def validate(spec: KGraphSpec) -> ValidationReport:
             c, half = ((diff & -diff).bit_length() - 1) // w, 1 << (w - 1)
             bias = sum(half << s for s in range(0, w * n, w))
             x, y = (((v + bias) >> (w * c) & (2 * half - 1)) - half for v in (ij[r], ji[r]))
+            limits.check_digits((abs(x), abs(y)))  # in-limit entries can make products past it
             violations.append(Violation(
                 "non_commuting", (i + 1, j + 1, r, c),
                 f"adjacency matrices {i + 1} and {j + 1} do not commute: "

@@ -136,20 +136,18 @@ R4_LIST_BOUND = 10**7  # above it, R4's commentary states its family instead of 
 
 
 def _ses_middle_candidates(g: int) -> str:
-    """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0.
+    """Isomorphism classes fitting 0 -> Zg -> K -> Zg -> 0, for ``g >= 2``.
 
-    Up to :data:`R4_LIST_BOUND` they are listed, one per divisor of
-    ``g`` in ascending order (an O(g) scan); above it the family is named
-    without factoring ``g``.
+    Up to :data:`R4_LIST_BOUND` they are listed, ``Z(g*d) x Z(g/d)`` for
+    each divisor ``d`` of ``g`` in ascending order (an O(g) scan); above it
+    the family is named without factoring ``g``.  Since ``g/d`` divides
+    ``g*d``, each sum's invariant factors are ``(g/d, g*d)``, one distinct
+    pair per ``d``, written as :class:`AbelianGroup` writes them.
     """
     if g > R4_LIST_BOUND:
         return f"Z(g*d) x Z(g/d) for each divisor d of g = {g}"
-    names = (
-        str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d)))
-        for d in range(1, g + 1)
-        if g % d == 0
-    )
-    return ", ".join(dict.fromkeys(names))
+    middle = [f"Z{g // d} x Z{g * d}" for d in range(2, g) if g % d == 0]
+    return ", ".join([f"Z{g}^2", *middle, f"Z{g * g}"])
 
 
 class _stage:

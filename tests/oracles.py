@@ -30,7 +30,7 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     they contribute nothing but keep degenerate layouts uniform.
     """
     if not grid:
-        return IntMatrix.zeros(0, 0)
+        return IntMatrix(0, 0, [])
     ncols_blocks = len(grid[0])
     for grow in grid:
         if len(grow) != ncols_blocks:
@@ -79,18 +79,18 @@ def _recursive_from_blocks(
         return hit
     if j == 1:
         return bs[0]  # p == 1 is forced here
+    copies = comb(j - 1, p - 1)
     if p >= 2:
         top = _recursive_from_blocks(bs, n, j - 1, p - 1, cache)
     else:
-        top = IntMatrix.zeros(0, comb(j - 1, p - 1) * n)
+        top = IntMatrix(0, copies * n, [])
     if p <= j - 1:
         bottom_right = _recursive_from_blocks(bs, n, j - 1, p, cache)
     else:
-        bottom_right = IntMatrix.zeros(comb(j - 1, p - 1) * n, 0)
-    copies = comb(j - 1, p - 1)
+        bottom_right = IntMatrix(copies * n, 0, [[]] * (copies * n))
     signed = bs[j - 1] if p % 2 == 1 else bs[j - 1].scaled(-1)
     diagonal = block_diagonal([signed] * copies)
-    zero = IntMatrix.zeros(top.rows, bottom_right.cols)
+    zero = IntMatrix(top.rows, bottom_right.cols, [[0] * bottom_right.cols] * top.rows)
     cache[(j, p)] = result = block([[top, zero], [diagonal, bottom_right]])
     return result
 
@@ -116,9 +116,9 @@ def boundary(cc: ChainComplex, p: int) -> IntMatrix:
     if 1 <= p <= cc.length:
         return cc.boundary(p)
     if p == 0:
-        return IntMatrix.zeros(0, cc.ranks[0])
+        return IntMatrix(0, cc.ranks[0], [])
     if p == cc.length + 1:
-        return IntMatrix.zeros(cc.ranks[cc.length], 0)
+        return IntMatrix(cc.ranks[cc.length], 0, [[]] * cc.ranks[cc.length])
     raise ValueError(f"degree {p} out of range 0..{cc.length + 1}")
 
 
@@ -141,9 +141,10 @@ def tensor_two(a: ChainComplex, entry: int) -> ChainComplex:
     for p in range(1, k + 1):
         sign = 1 if (p - 1) % 2 == 0 else -1
         koszul = IntMatrix.identity(rank(a, p - 1)).scaled(sign * entry)
+        zero = IntMatrix(rank(a, p - 2), rank(a, p), [[0] * rank(a, p)] * rank(a, p - 2))
         grid = [
             [boundary(a, p), koszul],
-            [IntMatrix.zeros(rank(a, p - 2), rank(a, p)), boundary(a, p - 1)],
+            [zero, boundary(a, p - 1)],
         ]
         boundaries.append(block(grid))
     return ChainComplex(ranks, tuple(boundaries))

@@ -180,7 +180,7 @@ def test_criterion_02_complex_axiom(monoid_sweep, poly_sweep):
     bad = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(bad, 1)
     d2 = build_differential_direct(bad, 2)
-    assert d1 @ d2 != IntMatrix.zeros(d1.rows, d2.cols)
+    assert d1 @ d2 != IntMatrix(d1.rows, d2.cols, [[0] * d2.cols] * d1.rows)
     with pytest.raises(ChainComplexError):
         ChainComplex((2, 4, 2), (d1, d2))
     with pytest.raises(ChainComplexError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evansk
-from evansk import dumps_document, loads_documents
+from evansk import document_from_dict, dumps_document
 from evansk import corpus, limits, spectral
 from evansk.cli import main
 from evansk.complexes import build_complex, differential_product_witness
@@ -204,7 +204,7 @@ def test_out_flag_writes_file(monoid_file, tmp_path, capsys):
 
 def test_gen_monoid(tmp_path, capsys):
     assert main(["gen", "monoid", "--k", "2", "--m-min", "2", "--m-max", "4"]) == 0
-    docs = loads_documents(capsys.readouterr().out)
+    docs = [document_from_dict(d) for d in json.loads(capsys.readouterr().out)]
     assert len(docs) == 9
     assert docs[0].spec.rank == 2
 
@@ -230,7 +230,7 @@ def test_gen_polynomial_family_deterministic(capsys):
     assert main(["gen", "polynomial-family", "--count", "5", "--seed", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    docs = loads_documents(first)
+    docs = [document_from_dict(d) for d in json.loads(first)]
     assert len(docs) == 5
 
 
@@ -421,6 +421,30 @@ def test_torsion_order_past_the_digit_limit_exits_2(command, fmt, int_digits, tm
                             "limit of 4300 digits that Python writes\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["validate", "verdict"])
+def test_non_commuting_witness_past_the_digit_limit_exits_2(command, fmt, int_digits, tmp_path,
+                                                            capsys):
+    # 3 001-digit entries whose products differ at (0,0): a^2 + 1 against a^2, 6 001 digits.
+    int_digits(4300)
+    a = 10**3000
+    path = tmp_path / "witness.json"
+    path.write_text(dumps_document(GraphDocument(
+        spec=spec_from_matrices([[[a, 1], [0, a]], [[a, 0], [1, a]]]))), encoding="utf-8")
+    assert main([command, str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the report would write an integer of 6001 digits, over the "
+                            "limit of 4300 digits that Python writes\n")
+
+
+def test_d_o_d_entry_past_the_digit_limit_is_a_limit_error(int_digits):
+    int_digits(4300)
+    a = 10**3000
+    with pytest.raises(limits.LimitError, match="^the report would write an integer of 6001 "):
+        build_complex((IntMatrix.from_rows([[0, a], [0, 0]]), IntMatrix.from_rows([[0, 0], [a, 0]])))
+
+
 def test_digit_check_counts_exactly_from_bit_lengths(int_digits):
     int_digits(0)
     values = [n + e for b in range(2120, 2140) for n in (2**b, 10 ** (b * 3 // 10)) for e in (-1, 0)]
@@ -466,7 +490,7 @@ def test_gen_to_file(tmp_path):
     target = tmp_path / "corpus.json"
     assert main(["gen", "monoid", "--k", "1", "--m-min", "1", "--m-max", "3",
                  "--out", str(target)]) == 0
-    docs = loads_documents(target.read_text(encoding="utf-8"))
+    docs = [document_from_dict(d) for d in json.loads(target.read_text(encoding="utf-8"))]
     assert [d.spec.adjacency[0][0, 0] for d in docs] == [1, 2, 3]
 
 

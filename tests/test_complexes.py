@@ -41,7 +41,7 @@ from oracles import (
 
 
 def is_zero(m: IntMatrix) -> bool:
-    return m == IntMatrix.zeros(m.rows, m.cols)
+    return m == IntMatrix(m.rows, m.cols, [[0] * m.cols] * m.rows)
 
 
 def complex_of(spec) -> ChainComplex:
@@ -141,9 +141,9 @@ def test_build_complex_refuses_malformed_families(monkeypatch):
     with pytest.raises(ValueError, match="at least one matrix is required"):
         build_complex(())
     with pytest.raises(ValueError, match=r"matrix 2 has shape \(1, 2\), expected 2x2"):
-        build_complex((IntMatrix.zeros(2, 2), IntMatrix.zeros(1, 2)))
+        build_complex((IntMatrix(2, 2, [[0, 0]] * 2), IntMatrix(1, 2, [[0, 0]])))
     with pytest.raises(ValueError, match=r"matrix 1 has shape \(2, 1\), expected 2x2"):
-        build_complex((IntMatrix.zeros(2, 1),))
+        build_complex((IntMatrix(2, 1, [[0]] * 2),))
 
 
 def minors_homology(cc: ChainComplex) -> list[AbelianGroup]:
@@ -219,9 +219,9 @@ def test_chain_complex_shape_validation():
     with pytest.raises(ValueError, match="boundaries must list degrees 1..length"):
         ChainComplex((1, 1), ())
     with pytest.raises(ValueError, match="boundaries must list degrees 1..length"):
-        ChainComplex((1,), (IntMatrix.zeros(1, 1),))
+        ChainComplex((1,), (IntMatrix(1, 1, [[0]]),))
     with pytest.raises(ValueError, match=r"boundary 1 has shape \(2, 1\), expected \(1, 1\)"):
-        ChainComplex((1, 1), (IntMatrix.zeros(2, 1),))
+        ChainComplex((1, 1), (IntMatrix(2, 1, [[0]] * 2),))
 
 
 def test_boundary_end_maps():

@@ -144,12 +144,12 @@ def test_polynomial_evaluation_takes_degree_minus_one_products(monkeypatch):
                            ([1, 2], 1), ([0, 0, 1], 2), ([2, 0, 1, 0], 2),
                            ([1, 2, 0, 1], 3), ([0, 0, 0, 0, 2], 4)]:
         products.clear()
-        want = IntMatrix.zeros(3, 3)
+        want = IntMatrix(3, 3, [[0] * 3] * 3)
         for c, pw in zip(coeffs, powers):
             want = want + pw.scaled(c)
         assert evaluate_polynomial(coeffs, a) == want, coeffs
         assert len(products) == max(degree - 1, 0), coeffs
-        assert IntMatrix.zeros(3, 3) not in products
+        assert IntMatrix(3, 3, [[0] * 3] * 3) not in products
 
 
 def test_companion_matrix_shape_and_charpoly():

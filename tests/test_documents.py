@@ -16,7 +16,6 @@ from evansk import (
     dumps_document,
     dumps_documents,
     loads_document,
-    loads_documents,
     monoid_spec,
 )
 from evansk.corpus import exhaustive_monoid_documents
@@ -38,7 +37,7 @@ def test_round_trip_json():
 
 def test_round_trip_document_list():
     docs = exhaustive_monoid_documents(2, range(2, 4))
-    assert loads_documents(dumps_documents(docs)) == docs
+    assert [document_from_dict(d) for d in json.loads(dumps_documents(docs))] == docs
 
 
 
@@ -58,9 +57,8 @@ def test_name_is_optional():
 @pytest.mark.parametrize("text", ["[" * 200_000, "[" + "7" * 5_000 + "]"],
                          ids=["deep-nesting", "long-integer"])
 def test_malformed_text_is_a_document_error(text):
-    for loads in (loads_document, loads_documents):
-        with pytest.raises(DocumentError, match="^bad.json: "):
-            loads(text, source="bad.json")
+    with pytest.raises(DocumentError, match="^bad.json: "):
+        loads_document(text, source="bad.json")
 
 
 def test_json_syntax_error_has_position():
@@ -105,14 +103,6 @@ def test_bad_top_level_fields():
         document_from_dict({"k": 1, "vertices": ["v"], "adjacency": [[[1]]], "name": 5})
 
 
-def test_documents_array_wrapper_errors():
-    with pytest.raises(DocumentError):
-        loads_documents('{"k": 1}')
-    with pytest.raises(DocumentError) as info:
-        loads_documents('[{"k": 1}]')
-    assert "[0]" in str(info.value)
-
-
 _json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')))
 _json_leaves = st.one_of(
     _json_text,
@@ -126,7 +116,6 @@ _json_values = st.recursive(
     _json_leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(_json_text, inner, max_size=4),
     ),
     max_leaves=30,
@@ -179,11 +168,6 @@ class _Small(IntEnum):
     ONE = 1
 
 
-def test_dumps_json_writes_subclasses_as_json_does():
-    value = [_Kind.A, {"k": _Small.ONE, "kind": _Kind.A}, OrderedDict(x=[True, 1.5]), _Small.ONE]
-    assert dumps_json(value) == json.dumps(value, indent=2)
-
-
 @pytest.mark.parametrize("count", [0, 1, 7])
 def test_dumps_documents_is_json_dumps_indent_2(count):
     docs = exhaustive_monoid_documents(2, range(1, 4))[:count]
@@ -218,7 +202,12 @@ def test_dumps_json_spells_non_finite_floats_as_json_does():
     assert dumps_json([math.nan, math.inf, -math.inf]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), [b"bytes"], {"a": frozenset()}, {1: 2}])
+@pytest.mark.parametrize("value", [
+    {1, 2}, object(), [b"bytes"], {"a": frozenset()}, {1: 2},
+    # A report holds dicts, lists, str, int, float, bool and None of exactly those
+    # types, so a tuple or a subclass raises too, where json.dumps would write it.
+    _Kind.A, _Small.ONE, OrderedDict(x=[True, 1.5]), (1, 2), [1, {"k": (2,)}], {"k": _Kind.A},
+])
 def test_dumps_json_rejects_what_a_report_never_holds(value):
     # A key that is not a str raises too, where json.dumps would stringify it.
     with pytest.raises(TypeError):

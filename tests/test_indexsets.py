@@ -4,13 +4,7 @@ from math import comb
 
 import pytest
 
-from evansk import (
-    BASEPOINT,
-    boundary_pattern,
-    delete_coordinate,
-    enumerate_tuples,
-    format_index_tuple,
-)
+from evansk import boundary_pattern, enumerate_tuples, format_index_tuple
 from evansk.indexsets import labels
 
 
@@ -32,8 +26,8 @@ def test_order_matches_block_figure_labels():
 
 
 def test_degree_zero_is_basepoint():
-    assert enumerate_tuples(0, 3) == (BASEPOINT,)
-    assert enumerate_tuples(0, 0) == (BASEPOINT,)
+    assert enumerate_tuples(0, 3) == ((),)
+    assert enumerate_tuples(0, 0) == ((),)
 
 
 def test_rank_four_degree_one_is_descending():
@@ -86,7 +80,7 @@ def test_partition_examples():
 
 
 def test_degree_zero_partition():
-    assert plus_minus(0, 3) == ((), (BASEPOINT,))
+    assert plus_minus(0, 3) == ((), ((),))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -98,26 +92,11 @@ def test_partition_concatenation_is_canonical_order(k):
         assert all(not a or a[-1] != k for a in minus)
 
 
-def test_delete_coordinate_examples():
-    assert delete_coordinate((1, 3, 4), 2) == (1, 4)
-    assert delete_coordinate((2, 3, 4), 3) == (2, 3)
-    assert delete_coordinate((1,), 1) == BASEPOINT
-
-
-def test_delete_coordinate_out_of_range():
-    with pytest.raises(ValueError):
-        delete_coordinate((1, 2), 0)
-    with pytest.raises(ValueError):
-        delete_coordinate((1, 2), 3)
-    with pytest.raises(ValueError):
-        delete_coordinate(BASEPOINT, 1)
-
-
 def test_psi_examples():
     # Dropping the trailing k of a plus tuple lands in the minus block below.
     plus, _ = plus_minus(3, 4)
     assert [a[:-1] for a in plus] == [(2, 3), (1, 3), (1, 2)]
-    assert plus_minus(1, 4)[0][0][:-1] == BASEPOINT
+    assert plus_minus(1, 4)[0][0][:-1] == ()
     assert (1, 4)[:-1] in plus_minus(1, 4)[1]
 
 
@@ -156,11 +135,11 @@ def test_minus_block_closed_under_deletion(k):
         _, minus_below = plus_minus(p - 1, k)
         for a in minus:
             for i in range(1, p + 1):
-                assert delete_coordinate(a, i) in minus_below
+                assert a[:i - 1] + a[i:] in minus_below
 
 
 def test_format_index_tuple():
-    assert format_index_tuple(BASEPOINT) == "*"
+    assert format_index_tuple(()) == "*"
     assert format_index_tuple((2, 3, 4)) == "(2,3,4)"
 
 

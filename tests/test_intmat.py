@@ -42,7 +42,7 @@ def test_scaled_and_sum():
     assert (m + m).to_lists() == [[2, 4], [6, 8]]
     assert IntMatrix.identity(2) + m.scaled(-1) == IntMatrix.from_rows([[0, -2], [-3, -3]])
     with pytest.raises(ValueError):
-        m + IntMatrix.zeros(2, 3)
+        m + IntMatrix(2, 3, [[0] * 3] * 2)
 
 
 def test_matmul():
@@ -74,11 +74,11 @@ def test_matmul_matches_triple_loop():
 
 
 def test_empty_shapes():
-    e = IntMatrix.zeros(0, 3)
-    assert (e @ IntMatrix.zeros(3, 2)).shape() == (0, 2)
-    f = IntMatrix.zeros(3, 0)
-    assert (f @ IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
-    assert IntMatrix.zeros(0, 0).det() == 1
+    e = IntMatrix(0, 3, [])
+    assert (e @ IntMatrix(3, 2, [[0] * 2] * 3)).shape() == (0, 2)
+    f = IntMatrix(3, 0, [[]] * 3)
+    assert (f @ IntMatrix(0, 2, [])) == IntMatrix(3, 2, [[0] * 2] * 3)
+    assert IntMatrix(0, 0, []).det() == 1
 
 
 def test_block_assembly():
@@ -89,10 +89,10 @@ def test_block_assembly():
 
 
 def test_block_with_degenerate_pieces():
-    top = IntMatrix.zeros(0, 2)
+    top = IntMatrix(0, 2, [])
     bottom_left = IntMatrix.from_rows([[5, 6]])
-    bottom_right = IntMatrix.zeros(1, 0)
-    m = block([[top, IntMatrix.zeros(0, 0)], [bottom_left, bottom_right]])
+    bottom_right = IntMatrix(1, 0, [[]])
+    m = block([[top, IntMatrix(0, 0, [])], [bottom_left, bottom_right]])
     assert m.to_lists() == [[5, 6]]
 
 
@@ -109,7 +109,7 @@ def test_block_diagonal():
     a = IntMatrix.from_rows([[2]])
     m = block_diagonal([a, a, a])
     assert m.to_lists() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    assert block_diagonal([]) == IntMatrix.zeros(0, 0)
+    assert block_diagonal([]) == IntMatrix(0, 0, [])
 
 
 def test_det_small_cases():
@@ -117,7 +117,7 @@ def test_det_small_cases():
     assert IntMatrix.from_rows([[0, -1], [-1, 1]]).det() == -1
     assert IntMatrix.from_rows([[2, 4], [6, 8]]).det() == -8
     with pytest.raises(ValueError):
-        IntMatrix.zeros(2, 3).det()
+        IntMatrix(2, 3, [[0] * 3] * 2).det()
 
 
 def test_det_matches_cofactor_oracle():

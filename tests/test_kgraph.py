@@ -163,7 +163,7 @@ def test_structural_errors():
     with pytest.raises(StructuralError):
         KGraphSpec(rank=0, vertices=("v",), adjacency=())
     with pytest.raises(StructuralError):
-        KGraphSpec(rank=1, vertices=(), adjacency=(IntMatrix.zeros(0, 0),))
+        KGraphSpec(rank=1, vertices=(), adjacency=(IntMatrix(0, 0, []),))
     with pytest.raises(StructuralError):
         monoid_spec([])
     assert 30 <= MAX_RANK == monoid_spec([3] * MAX_RANK).rank
@@ -243,7 +243,7 @@ def test_coadjacency_examples():
     spec = spec_from_matrices([[[1, 1], [1, 0]]])
     assert coadjacencies(spec)[0].to_lists() == [[0, -1], [-1, 1]]
     eye = spec_from_matrices([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-    assert coadjacencies(eye)[0] == IntMatrix.zeros(3, 3)
+    assert coadjacencies(eye)[0] == IntMatrix(3, 3, [[0] * 3] * 3)
 
 
 def test_coadjacency_transpose_convention():

@@ -60,7 +60,7 @@ def test_rank_one_symmetric():
 
 def test_empty_matrices():
     for rows, cols in ((0, 0), (0, 3), (2, 0)):
-        m = IntMatrix.zeros(rows, cols)
+        m = IntMatrix(rows, cols, [[0] * cols] * rows)
         res = smith_normal_form(m)
         assert res.divisors == ()
         assert res.left == IntMatrix.identity(rows)
@@ -202,7 +202,7 @@ def test_divisors_match_minor_oracle(m):
 def test_divisors_with_zero_rows_and_columns():
     m = IntMatrix.from_rows([[0, 0, 0, 0], [0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 0, 4]])
     assert elementary_divisors(m) == (1, 2, 0, 0)
-    assert elementary_divisors(IntMatrix.zeros(3, 5)) == (0, 0, 0)
+    assert elementary_divisors(IntMatrix(3, 5, [[0] * 5] * 3)) == (0, 0, 0)
     assert elementary_divisors(IntMatrix.identity(4)) == (1, 1, 1, 1)
     # Units only, with fill-in from the first pivot: the residue is empty.
     m = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]])

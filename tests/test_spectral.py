@@ -306,6 +306,19 @@ def test_verdict_r4_commentary_for_g_with_many_divisors():
     assert names[-1] == "Z1000000000000"
 
 
+def _r4_listing_from_groups(g):
+    """R4's listing as each divisor's direct sum writes it, equal names kept once."""
+    names = (str(AbelianGroup.cyclic(g * d).direct_sum(AbelianGroup.cyclic(g // d)))
+             for d in range(1, g + 1) if g % d == 0)
+    return ", ".join(dict.fromkeys(names))
+
+
+def test_r4_listing_written_from_divisor_pairs_equals_the_direct_sums():
+    # 9 699 690 = 2*3*5*7*11*13*17*19, below R4_LIST_BOUND, has 256 divisors.
+    for g in [*range(2, 3001), 9_699_690]:
+        assert spectral._ses_middle_candidates(g) == _r4_listing_from_groups(g), g
+
+
 def test_verdict_r4_commentary_lists_up_to_the_bound(monkeypatch):
     # The enumeration is kept through R4_LIST_BOUND; past it the family is named.
     monkeypatch.setattr(spectral, "R4_LIST_BOUND", 12)
@@ -368,7 +381,8 @@ def test_adjugate_contracts_to_determinant_property(spec):
         h = [_contraction(boundary_pattern(p + 1, k), i, adj, cc.ranks[p + 1], cc.ranks[p])
              for p in range(k)]
         for p in range(k + 1):
-            total = IntMatrix.zeros(cc.ranks[p], cc.ranks[p])
+            r = cc.ranks[p]
+            total = IntMatrix(r, r, [[0] * r] * r)
             if p < k:
                 total = total + cc.boundary(p + 1) @ h[p]
             if p > 0:
