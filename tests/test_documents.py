@@ -205,10 +205,18 @@ def test_dumps_json_spells_non_finite_floats_as_json_does():
 @pytest.mark.parametrize("value", [
     {1, 2}, object(), [b"bytes"], {"a": frozenset()}, {1: 2},
     # A report holds dicts, lists, str, int, float, bool and None of exactly those
-    # types, so a tuple or a subclass raises too, where json.dumps would write it.
-    _Kind.A, _Small.ONE, OrderedDict(x=[True, 1.5]), (1, 2), [1, {"k": (2,)}], {"k": _Kind.A},
+    # types, so a tuple raises too, where json.dumps would write it.
+    (1, 2), [1, {"k": (2,)}],
 ])
 def test_dumps_json_rejects_what_a_report_never_holds(value):
     # A key that is not a str raises too, where json.dumps would stringify it.
     with pytest.raises(TypeError):
         dumps_json(value)
+
+
+def test_dumps_json_refuses_subclasses_that_json_dumps_would_write():
+    value = [_Kind.A, {"k": _Small.ONE, "kind": _Kind.A}, OrderedDict(x=[True, 1.5]), _Small.ONE]
+    json.dumps(value, indent=2)
+    for v in (value, *value, {"k": _Kind.A}):
+        with pytest.raises(TypeError):
+            dumps_json(v)
