@@ -46,8 +46,7 @@ class ReportError(ValueError):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         status = args.run(args)
         sys.stdout.flush()  # a short report would otherwise first be written at exit
@@ -63,6 +62,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one step when ``argv[0]`` names a command.
+
+    The command's subparser parses the rest, as argparse's subparsers action
+    would.  Anything else, or extras the subparser leaves, goes through the
+    whole parser, so its messages and exit codes are argparse's own."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace each call.
@@ -72,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "E2 pages, and K-theory verdicts.",
     )
     sub = parser.add_subparsers(required=True)
+    parser.commands = sub.choices  # command name -> its subparser, filled in below
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="graph document (JSON)")

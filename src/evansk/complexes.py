@@ -28,8 +28,10 @@ one vertex, independently and compares them with every boundary built
 here.
 
 The blocks of ``d_p d_(p+1)`` are the commutators ``B_j B_i - B_i B_j``,
-so the ``d o d = 0`` certificate of a :class:`ChainComplex` is the check
-that the ``B_i`` commute.  No graph is validated here:
+so :func:`build_complex` certifies ``d o d = 0`` by checking that the
+``B_i`` commute, on packed rows, and multiplies no boundaries.  A
+:class:`ChainComplex` made from boundaries it did not build is certified
+by their dense products.  No graph is validated here:
 :class:`evansk.spectral.Analysis` does that before it builds a complex.
 """
 
@@ -40,8 +42,8 @@ from math import comb
 from collections.abc import Sequence
 
 from . import limits
-from .indexsets import boundary_pattern
-from .intmat import IntMatrix
+from .indexsets import boundary_pattern, enumerate_tuples
+from .intmat import IntMatrix, product_differences
 from .kgraph import KGraphSpec, coadjacencies
 
 
@@ -66,13 +68,27 @@ class ChainComplex:
     ``ranks`` lists degrees ``0..length``; ``boundaries[p-1]`` is the map
     from degree ``p`` to degree ``p - 1`` and has shape
     ``ranks[p-1] x ranks[p]``.  Construction checks the shapes, then
-    ``d o d = 0`` (:class:`ChainComplexError`).
+    ``d o d = 0`` by the dense products (:class:`ChainComplexError`).
     """
 
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
 
     def __post_init__(self):
+        self._check_shapes()
+        if (witness := differential_product_witness(self)) is not None:
+            raise ChainComplexError(*witness)
+
+    @classmethod
+    def _certified(cls, ranks: tuple[int, ...], boundaries: tuple[IntMatrix, ...]) -> ChainComplex:
+        """A complex whose ``d o d = 0`` the caller has proved; the shapes are still checked."""
+        cc = object.__new__(cls)
+        object.__setattr__(cc, "ranks", ranks)
+        object.__setattr__(cc, "boundaries", boundaries)
+        cc._check_shapes()
+        return cc
+
+    def _check_shapes(self) -> None:
         if len(self.boundaries) != len(self.ranks) - 1:
             raise ValueError("boundaries must list degrees 1..length, ranks 0..length")
         for p in range(1, self.length + 1):
@@ -80,8 +96,6 @@ class ChainComplex:
             want = (self.ranks[p - 1], self.ranks[p])
             if b.shape() != want:
                 raise ValueError(f"boundary {p} has shape {b.shape()}, expected {want}")
-        if (witness := differential_product_witness(self)) is not None:
-            raise ChainComplexError(*witness)
 
     @property
     def length(self) -> int:
@@ -96,7 +110,8 @@ class ChainComplex:
 
 
 def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] | None:
-    """First nonzero entry of any consecutive product, or None if d o d = 0."""
+    """First nonzero entry of any consecutive product, or None if d o d = 0;
+    the certificate of the public constructor, which multiplies the boundaries."""
     for p in range(1, cc.length):
         prod = cc.boundary(p) @ cc.boundary(p + 1)
         for r in range(prod.rows):
@@ -134,11 +149,17 @@ def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
 def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
     """The Evans chain complex of the commuting ``n x n`` matrices ``bs``.
 
-    The boundaries are filled in from the signed-deletion pattern, and the
-    :class:`ChainComplex` constructor certifies ``d o d = 0``: matrices
-    that do not commute raise :class:`ChainComplexError`.  An empty family
-    or matrices that are not all ``n x n`` raise ``ValueError``, and a
-    complex over a limit of :mod:`evansk.limits` raises ``LimitError``,
+    The boundaries are filled in from the signed-deletion pattern, and
+    ``d o d = 0`` is certified from the commutators, which are the blocks of
+    ``d_p d_(p+1)``: the products ``B_j B_i`` and ``B_i B_j`` of each
+    degree-2 tuple ``(i, j)`` are compared on packed rows
+    (:func:`~evansk.intmat.product_differences`), and no boundaries are
+    multiplied.  Matrices that do not commute raise
+    :class:`ChainComplexError` at the first nonzero entry of ``d_1 d_2`` in
+    row-major order, the witness the dense products would give: its block
+    is ``B_j B_i - B_i B_j``, blocks in canonical tuple order.  An empty
+    family or matrices that are not all ``n x n`` raise ``ValueError``, and
+    a complex over a limit of :mod:`evansk.limits` raises ``LimitError``,
     before anything is assembled.
     """
     if not bs:
@@ -148,6 +169,14 @@ def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
         if b.shape() != (n, n):
             raise ValueError(f"matrix {i} has shape {b.shape()}, expected {n}x{n}")
     limits.check_complex(k, n)
+    if n > 1:  # 1x1 matrices always commute
+        # (B_j, B_i) for each degree-2 tuple (i, j), keyed to its block of d_1 d_2
+        blocks = {(j - 1, i - 1): t for t, (i, j) in enumerate(enumerate_tuples(2, k))}
+        witness = min(((r, blocks[a, b], c, x - y)
+                       for a, b, r, c, x, y in product_differences(bs, blocks)), default=None)
+        if witness is not None:
+            r, t, c, value = witness
+            raise ChainComplexError(1, r, t * n + c, value)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
     boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
-    return ChainComplex(ranks, boundaries)
+    return ChainComplex._certified(ranks, boundaries)

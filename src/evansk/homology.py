@@ -117,13 +117,22 @@ def homology(cc: ChainComplex) -> list[AbelianGroup]:
     """Homology groups in degrees ``0..length``, always from the
     elementary divisors of every boundary.
 
-    ``cc`` squares to zero: its constructor certified that.  The verdict
-    path (:class:`evansk.spectral.Analysis`) calls this only when the
-    determinants of the ``B_i`` do not already prove every group zero.
+    ``cc`` squares to zero: its constructor, or
+    :func:`~evansk.complexes.build_complex`, certified that.  The verdict
+    path (:class:`evansk.spectral.Analysis`) reaches the boundaries only when
+    neither the determinants of the ``B_i`` nor ``H_0`` already prove every
+    group zero, and then through :func:`groups_from_divisors`.
     """
-    # divisors[p] and ranks[p] belong to d_p; d_0 and d_(length+1) are zero.
-    divisors = [(), *map(elementary_divisors, cc.boundaries), ()]
-    ranks = [sum(1 for d in ds if d) for ds in divisors]
-    return [AbelianGroup(cc.ranks[p] - ranks[p] - ranks[p + 1],
+    return groups_from_divisors(cc.ranks, [elementary_divisors(b) for b in cc.boundaries])
+
+
+def groups_from_divisors(ranks: Sequence[int],
+                         divisors: Sequence[tuple[int, ...]]) -> list[AbelianGroup]:
+    """Homology in degrees ``0..len(ranks) - 1`` of a complex with these ranks
+    whose boundary ``d_p`` has the elementary divisors ``divisors[p - 1]``."""
+    # divisors[p] and rank_d[p] belong to d_p; d_0 and d_(length+1) are zero.
+    divisors = [(), *divisors, ()]
+    rank_d = [sum(1 for d in ds if d) for ds in divisors]
+    return [AbelianGroup(ranks[p] - rank_d[p] - rank_d[p + 1],
                          tuple(d for d in divisors[p + 1] if d > 1))
-            for p in range(cc.length + 1)]
+            for p in range(len(ranks))]

@@ -7,8 +7,9 @@ through floats or fixed-width integer types.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import mul
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+from operator import lshift, mul
 
 
 class IntMatrix:
@@ -131,3 +132,37 @@ class IntMatrix:
                     ai[j] = (ai[j] * piv - lead * at[j]) // prev
             prev = piv
         return sign * a[n - 1][n - 1]
+
+
+def product_differences(ms: Sequence[IntMatrix], pairs: Iterable[tuple[int, int]]
+                        ) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """``(a, b, r, c, x, y)`` for each pair ``(a, b)`` of ``pairs``, in order, whose
+    products differ: ``x = (ms[a] @ ms[b])[r, c]`` and ``y = (ms[b] @ ms[a])[r, c]`` at
+    the first differing entry in row-major order.  ``ms`` holds ``n x n`` matrices.
+
+    No product is formed: each row of ``ms[b]`` packs into one integer, a
+    ``w``-bit slot per column with ``w = (n * top**2).bit_length() + 1`` for
+    ``top`` the largest ``|entry|``, so ``sum(map(mul, row, packed_b))`` packs
+    that row of ``ms[a] @ ms[b]``; its signed digits stay below ``2**(w - 1)``,
+    so equal packed rows are equal rows.  Where two differ, the lowest set bit
+    of ``x ^ y`` lies in the lowest differing slot, and ``2**(w - 1)`` added to
+    every slot makes each digit a plain ``w``-bit field.
+    """
+    n = ms[0].rows
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(m._data for m in ms))))
+    w = (n * top * top).bit_length() + 1
+    packed = [[sum(map(lshift, row, range(0, w * n, w))) for row in m._data] for m in ms]
+    half = 1 << (w - 1)
+    bias = None
+    for a, b in pairs:
+        ab = [sum(map(mul, row, packed[b])) for row in ms[a]._data]
+        ba = [sum(map(mul, row, packed[a])) for row in ms[b]._data]
+        if ab == ba:
+            continue
+        r = next(r for r in range(n) if ab[r] != ba[r])
+        diff = ab[r] ^ ba[r]
+        c = ((diff & -diff).bit_length() - 1) // w
+        if bias is None:
+            bias = sum(half << s for s in range(0, w * n, w))
+        x, y = (((v + bias) >> (w * c) & (2 * half - 1)) - half for v in (ab[r], ba[r]))
+        yield a, b, r, c, x, y

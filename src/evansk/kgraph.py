@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 from itertools import chain, combinations
-from operator import lshift, mul
 
 from . import limits
-from .intmat import IntMatrix
+from .intmat import IntMatrix, product_differences
 
 
 class StructuralError(ValueError):
@@ -134,14 +133,10 @@ def validate(spec: KGraphSpec) -> ValidationReport:
 
     One scan of all rows decides whether the per-row search for negative
     entries and zero rows (not source-free, under the adjacency convention)
-    runs.  Each row of ``M_j`` packs into one integer, a ``w``-bit slot per
-    column with ``w = (n * top**2).bit_length() + 1`` for ``top`` the largest
-    ``|entry|``, so ``sum(map(mul, row, packed_j))`` packs that row of
-    ``M_i M_j``; its signed digits stay below ``2**(w - 1)``, so equal packed
-    rows are equal rows.  A pair that differs is reported at its first
-    differing entry in row-major order, read from the packed rows: the lowest
-    set bit of ``x ^ y`` lies in the lowest differing slot, and ``2**(w - 1)``
-    added to every slot makes each digit a plain ``w``-bit field.  Every valid
+    runs.  Each pair ``i < j`` compares ``M_i M_j`` with ``M_j M_i`` on packed
+    rows (:func:`~evansk.intmat.product_differences`, which
+    :func:`~evansk.complexes.build_complex` shares), and a pair that differs is
+    reported at its first differing entry in row-major order.  Every valid
     spec gets the same report.  An entry a message would write past Python's
     digit limit raises :class:`~evansk.limits.LimitError` instead.
     """
@@ -165,19 +160,7 @@ def validate(spec: KGraphSpec) -> ValidationReport:
                         f"row {r} of adjacency matrix {idx} is zero",
                     ))
     if n > 1:  # 1x1 matrices always commute
-        top = max(-lo, max(chain.from_iterable(rows)))
-        w = (n * top * top).bit_length() + 1
-        packed = [[sum(map(lshift, row, range(0, w * n, w))) for row in m._data] for m in ms]
-        for i, j in combinations(range(spec.rank), 2):
-            ij = [sum(map(mul, row, packed[j])) for row in ms[i]._data]
-            ji = [sum(map(mul, row, packed[i])) for row in ms[j]._data]
-            if ij == ji:
-                continue
-            r = next(r for r in range(n) if ij[r] != ji[r])
-            diff = ij[r] ^ ji[r]
-            c, half = ((diff & -diff).bit_length() - 1) // w, 1 << (w - 1)
-            bias = sum(half << s for s in range(0, w * n, w))
-            x, y = (((v + bias) >> (w * c) & (2 * half - 1)) - half for v in (ij[r], ji[r]))
+        for i, j, r, c, x, y in product_differences(ms, combinations(range(spec.rank), 2)):
             limits.check_digits((abs(x), abs(y)))  # in-limit entries can make products past it
             violations.append(Violation(
                 "non_commuting", (i + 1, j + 1, r, c),

@@ -42,10 +42,18 @@ applies:
    is the tensor product of the two-term complexes ``Z --B_i--> Z``.  The
    Künneth theorem gives every group from ``g`` alone
    (:func:`monoid_closed_form`).  This route builds no matrix at all.
-3. Otherwise the complex is built and its boundaries go through Smith
-   normal form.
+3. Otherwise ``d_1``'s elementary divisors come first, from the ``B_i``
+   placed side by side.  If all ``n`` are 1, then
+   ``H_0 = coker [B_1 ... B_k] = 0``, and every group is zero: the Evans
+   complex is the Koszul complex of ``M = Z^n`` over ``Z[x_1, ..., x_k]``,
+   ``x_i`` acting by ``B_i``; ``M = (x) M`` gives an ``a`` in ``1 + (x)``
+   with ``a M = 0`` (Nakayama, Atiyah-Macdonald 2.5), and ``(x)`` kills
+   every ``H_p`` (Bruns-Herzog 1.6.5), so ``a`` acts on ``H_p`` as both 0
+   and 1.  This route builds no complex.
+4. Otherwise the complex is built, and its other boundaries go through
+   Smith normal form; ``d_1``'s divisors are reused.
 
-Only the third route builds a complex.  The groups are the E2 page's
+Only the last route builds a complex.  The groups are the E2 page's
 columns, so the page is the ``homology`` tuple itself.  The last stage
 applies the rules above to it; rules R2-R4 take ``g`` as ``D``, the same
 gcd of the determinants.  ``Analysis.seconds`` times each stage run.
@@ -55,16 +63,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
+from itertools import chain, pairwise
 from math import comb, gcd
 from collections.abc import Sequence
 from time import perf_counter
 
 from . import limits
 from .complexes import ChainComplex, build_complex
-from .homology import TRIVIAL_GROUP, AbelianGroup, homology
+from .homology import TRIVIAL_GROUP, AbelianGroup, groups_from_divisors
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
+from .snf import elementary_divisors
 
 
 def e2_dict(columns: Sequence[AbelianGroup]) -> dict:
@@ -240,7 +249,14 @@ class Analysis:
             return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
         if self.spec.is_monoid:  # one vertex: det B_i = B_i
             return tuple(monoid_closed_form(self.determinants))
-        return tuple(homology(self.complex))
+        bs, n = self.coadjacencies, self.spec.num_vertices
+        d1 = elementary_divisors(IntMatrix._raw(n, n * len(bs), tuple(
+            tuple(chain.from_iterable(b.row(r) for b in bs)) for r in range(n))))
+        if d1[-1] == 1:  # every divisor is 1: H_0 = 0, so every H_p = 0
+            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
+        cc = self.complex
+        return tuple(groups_from_divisors(cc.ranks, [d1, *map(elementary_divisors,
+                                                               cc.boundaries[1:])]))
 
     @_stage
     def verdict(self) -> KTheoryVerdict:

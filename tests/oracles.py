@@ -96,12 +96,19 @@ def _recursive_from_blocks(
 
 
 def build_differential_recursive(spec: KGraphSpec) -> tuple[IntMatrix, ...]:
-    """The boundaries ``d_1..d_k`` by the paper's block recursion on the
-    top coordinate, with one ``(j, p)`` cache shared by every degree."""
-    bs, cache = coadjacencies(spec), {}
+    """The boundaries ``d_1..d_k`` of the spec's co-adjacency matrices by
+    the paper's block recursion."""
+    return recursive_boundaries(coadjacencies(spec))
+
+
+def recursive_boundaries(bs: Sequence[IntMatrix]) -> tuple[IntMatrix, ...]:
+    """The boundaries ``d_1..d_k`` of the ``n x n`` matrices ``bs`` by the
+    paper's block recursion on the top coordinate, with one ``(j, p)``
+    cache shared by every degree."""
+    cache: dict[tuple[int, int], IntMatrix] = {}
     return tuple(
-        _recursive_from_blocks(bs, spec.num_vertices, spec.rank, p, cache)
-        for p in range(1, spec.rank + 1)
+        _recursive_from_blocks(bs, bs[0].rows, len(bs), p, cache)
+        for p in range(1, len(bs) + 1)
     )
 
 

@@ -2,8 +2,9 @@
 
 The exhaustive single-vertex corpus (loop counts 1..9 in every coordinate,
 ranks 1..5: 66429 specs) is swept once by a module-scoped fixture that
-builds every complex from the signed-deletion pattern, compares each
-boundary with the paper's block recursion, checks the boundary shapes,
+builds every complex from the signed-deletion pattern, checks its
+``d o d = 0`` with the oracle's dense products, compares each boundary
+with the paper's block recursion, checks the boundary shapes,
 computes homology along both the pattern and the tensor routes (the
 recursion and the tensor complex come from ``oracles``), and compares
 the verdict path's page (the determinant proof or the Künneth closed
@@ -53,6 +54,7 @@ from evansk.render import render_symbolic_differential, symbolic_blocks
 from oracles import (
     block,
     build_differential_recursive,
+    dense_product_witness,
     minor_gcd_divisors,
     random_unimodular,
     tensor_monoid_complex,
@@ -91,6 +93,7 @@ def monoid_sweep():
     t0 = time.perf_counter()
     recursive_mismatches = []
     shape_failures = []
+    dd_failures = []  # d_p d_(p+1) != 0 by the dense products
     tensor_failures = []
     closed_failures = []
     analysis_failures = []  # the production page differs from SNF's
@@ -100,8 +103,10 @@ def monoid_sweep():
         for ms in itertools.product(M_VALUES, repeat=k):
             spec = monoid_spec(ms)
             analysis = Analysis(spec)
-            cc = analysis.complex  # validated; the constructor certifies d o d = 0
+            cc = analysis.complex  # validated; built certifies d o d = 0 by commutators
             built += 1
+            if dense_product_witness(cc.boundaries) is not None:
+                dd_failures.append(ms)
             for p, d in enumerate(build_differential_recursive(spec), start=1):
                 if d != cc.boundary(p):
                     recursive_mismatches.append((ms, p))
@@ -126,6 +131,7 @@ def monoid_sweep():
         "built": built,
         "recursive_mismatches": recursive_mismatches,
         "shape_failures": shape_failures,
+        "dd_failures": dd_failures,
         "tensor_failures": tensor_failures,
         "closed_failures": closed_failures,
         "analysis_failures": analysis_failures,
@@ -140,12 +146,15 @@ def poly_sweep():
     docs = random_polynomial_documents(POLY_COUNT, seed=POLY_SEED)
     recursive_mismatches = []
     shape_failures = []
+    dd_failures = []
     built = 0
     for doc in docs:
         spec = doc.spec
         analysis = Analysis(spec)
         cc = analysis.complex
         built += 1
+        if dense_product_witness(cc.boundaries) is not None:
+            dd_failures.append(doc.name)
         for p, d in enumerate(build_differential_recursive(spec), start=1):
             if d != cc.boundary(p):
                 recursive_mismatches.append((doc.name, p))
@@ -155,6 +164,7 @@ def poly_sweep():
         "built": built,
         "recursive_mismatches": recursive_mismatches,
         "shape_failures": shape_failures,
+        "dd_failures": dd_failures,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -171,20 +181,25 @@ def test_criterion_01_differential_equivalence(monoid_sweep, poly_sweep):
 
 
 def test_criterion_02_complex_axiom(monoid_sweep, poly_sweep):
-    # Every corpus complex was certified d o d = 0 by its constructor.
+    # build_complex certified every corpus complex from the commutators of
+    # its B_i, and multiplied no boundaries; the sweeps checked each one with
+    # the oracle's dense products.
     assert monoid_sweep["built"] == MONOID_TOTAL
     assert poly_sweep["built"] == POLY_COUNT
+    assert monoid_sweep["dd_failures"] == []
+    assert poly_sweep["dd_failures"] == []
     # Negative control: a non-commuting family breaks the axiom.  Its
-    # matrices are refused by the certificate alone; the spec is refused by
-    # validation before any complex is built.
+    # matrices are refused by either certificate alone, at the same entry;
+    # the spec is refused by validation before any complex is built.
     bad = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(bad, 1)
     d2 = build_differential_direct(bad, 2)
     assert d1 @ d2 != IntMatrix(d1.rows, d2.cols, [[0] * d2.cols] * d1.rows)
-    with pytest.raises(ChainComplexError):
+    with pytest.raises(ChainComplexError) as dense:
         ChainComplex((2, 4, 2), (d1, d2))
-    with pytest.raises(ChainComplexError):
+    with pytest.raises(ChainComplexError) as commutators:
         build_complex(coadjacencies(bad))
+    assert str(commutators.value) == str(dense.value)
     with pytest.raises(SpecValidationError) as info:
         Analysis(bad).complex
     assert [v.kind for v in info.value.report.violations] == ["non_commuting"]

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import evansk
 from evansk import document_from_dict, dumps_document
 from evansk import corpus, limits, spectral
-from evansk.cli import main
+from evansk.cli import _build_parser, _parse, main
 from evansk.complexes import build_complex, differential_product_witness
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
@@ -147,8 +147,8 @@ def test_complex_degree_out_of_range(monoid_file, capsys):
 
 @pytest.mark.parametrize("degree", ["99", "0"])
 def test_bad_degree_refused_before_assembly(degree, tmp_path, monkeypatch, capsys):
-    # Assembling [3] * 10 and certifying d o d = 0 takes seconds; the rank
-    # alone decides that a degree is out of range.
+    # Assembling [3] * 10 would be wasted work: the rank alone decides that
+    # a degree is out of range.
     def refuse(*args, **kwargs):
         raise AssertionError("a bad degree is refused before assembly")
 
@@ -339,16 +339,21 @@ def test_gen_rank_over_limit_refused_in_bounded_memory(argv, k):
     assert proc.stderr == f"error: rank must be <= {MAX_RANK}, got {k}\n"
 
 
-def test_slow_product_refused_before_assembly(tmp_path):
-    # [3] * 11 has 213 444-cell boundaries, but its d o d check would take
-    # about 2e8 multiply-adds; one degree of output does not change that.
+def test_rank11_complex_answers_in_bounded_memory(tmp_path):
+    # [3] * 11 has 213 444-cell boundaries, and its dense d o d products
+    # would take about 2e8 multiply-adds; its 1x1 B_i commute, so the
+    # complex is certified without them.
     path = tmp_path / "rank11.json"
     path.write_text(dumps_document(monoid_document([3] * 11)), encoding="utf-8")
+    ranks = [comb(11, p) for p in range(12)]
     proc = _run_limited(["complex", str(path), "--degree", "1"])
-    assert (proc.returncode, proc.stdout) == (2, "")
-    madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
-    assert proc.stderr == (f"error: certifying d o d = 0 would take {madds} multiply-adds, "
-                           f"over the limit of {MAX_PRODUCT_MADDS}\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:3] == [f"k = 11, ranks = {ranks}", "", "d_1 (1 x 11):"]
+    proc = _run_limited(["complex", str(path), "--degree", "1", "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)["complex"]
+    assert report["ranks"] == ranks
+    assert [d["matrix"] for d in report["differentials"]] == [[[-2] * 11]]
 
 
 def test_many_vertex_document_refused_when_read(tmp_path):
@@ -579,10 +584,24 @@ def _count_determinants(monkeypatch) -> list:
     return calls
 
 
+def _count_matmuls(monkeypatch) -> list:
+    calls = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return calls
+
+
 UNIMODULAR_B1 = monoid_document([2, 4, 6, 8]).spec  # B = (-1, -3, -5, -7): rule R1
 COPRIME_DETS = monoid_document([3, 4]).spec  # dets -2 and -3, none a unit: rule R3
 # Two commuting circulants with dets 0 and -4: no proof, no closed form.
 TWO_VERTEX_GCD_4 = spec_from_matrices([[[2, 1], [1, 2]], [[1, 2], [2, 1]]])
+# poly-1-363 of seed 1: D = 2, yet B_1 and B_2 side by side have unit divisors, so H_0 = 0.
+H0_ZERO = spec_from_matrices([[[13, 14], [14, 20]], [[12, 14], [14, 19]]])
 
 
 @pytest.mark.parametrize("spec, status", [
@@ -592,6 +611,7 @@ TWO_VERTEX_GCD_4 = spec_from_matrices([[[2, 1], [1, 2]], [[1, 2], [2, 1]]])
     (NON_COMMUTING, 1),
     (COPRIME_DETS, 0),
     (TWO_VERTEX_GCD_4, 0),
+    (H0_ZERO, 0),
 ])
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
@@ -600,8 +620,8 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     determinants = _count_determinants(monkeypatch)
     assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
     assert len(validations) == 1
-    # gcd det(B_i) = 1 proves every group zero, and a one-vertex page comes
-    # from the Künneth closed form: neither assembles the complex.
+    # gcd det(B_i) = 1 or H_0 = 0 proves every group zero, and a one-vertex
+    # page comes from the Künneth closed form: none assembles the complex.
     assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
     # One vertex: the determinants are the loop counts' 1 - m_i, no matrix.
     builds_bs = status == 0 and not spec.is_monoid
@@ -617,8 +637,9 @@ PAGE_STAGES = ["validation", "coadjacencies", "determinants", "annihilator"]
 @pytest.mark.parametrize("spec, route", [
     (TWO_VERTEX_D_1, []),  # the trivial page
     (monoid_document([3, 5, 7]).spec, []),  # g = 2: the Künneth closed form
+    (H0_ZERO, []),  # d_1's divisors alone: H_0 = 0
     (TWO_VERTEX_GCD_4, ["complex"]),  # Smith normal form
-], ids=["D=1", "one-vertex", "snf"])
+], ids=["D=1", "one-vertex", "H0=0", "snf"])
 def test_timing_lists_each_stage_run_then_total(spec, route, tmp_path, capsys):
     assert (Analysis(spec).annihilator == 1) == (spec is TWO_VERTEX_D_1)
     path = tmp_path / "doc.json"
@@ -658,11 +679,29 @@ def test_total_counts_reading_the_document(monoid_file, monkeypatch, capsys):
     lambda: homology(Analysis(monoid_document([3, 5, 7]).spec).complex),
     lambda: Analysis(TWO_VERTEX_GCD_4).verdict,
 ], ids=["homology", "verdict"])
-def test_each_complex_runs_the_product_once(run, monkeypatch):
-    # The ChainComplex constructor is the one place d o d = 0 is computed.
+def test_each_complex_runs_no_dense_product(run, monkeypatch):
+    # build_complex certifies d o d = 0 from the commutators, on packed rows.
     products = _count_calls(monkeypatch, differential_product_witness)
+    matmuls = _count_matmuls(monkeypatch)
     run()
-    assert len(products) == 1
+    assert (len(products), len(matmuls)) == (0, 0)
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "e2", "verdict"])
+def test_no_report_behind_the_page_multiplies_matrices(command, tmp_path, monkeypatch, capsys):
+    specs = [monoid_document([3, 5, 7]).spec, TWO_VERTEX_GCD_4, TWO_VERTEX_D_1, H0_ZERO,
+             NON_COMMUTING, *(doc.spec for doc in random_polynomial_documents(60, seed=1))]
+    paths = []
+    for i, spec in enumerate(specs):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
+    products = _count_calls(monkeypatch, differential_product_witness)
+    matmuls = _count_matmuls(monkeypatch)
+    for path in paths:
+        for fmt in ("text", "json"):
+            assert main([command, str(path), "--format", fmt]) in (0, 1)
+    capsys.readouterr()
+    assert (len(products), len(matmuls)) == (0, 0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -707,3 +746,36 @@ def test_validation_failure_precedes_degree_error(invalid_file, capsys):
     captured = capsys.readouterr()
     assert "do not commute" in captured.out
     assert captured.err == ""
+
+
+PARSE_TABLE = [
+    [], ["-h"], ["bogus"], ["verd", "f"], ["verdict"], ["verdict", "f", "extra"],
+    ["verdict", "f", "--format", "xml"], ["--format=json"], ["--form", "json"],
+    ["verdict", "f", "-h"], ["verdict", "--", "f"], ["-h", "verdict"],
+    ["complex", "f", "--degree", "two"], ["gen"], ["gen", "monoid", "--k", "2", "x"],
+    ["verdict", "f", "--format", "json"], ["complex", "f", "--degree", "2", "--out", "x"],
+    ["gen", "monoid", "--k", "2"],
+]
+PARSE_TOKENS = sorted({token for argv in PARSE_TABLE for token in argv})
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """(exit code, namespace, stdout, stderr) of one parse; None for what did not happen."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = (None, vars(parse(list(argv))))
+        except SystemExit as exc:
+            outcome = (exc.code, None)
+    return (*outcome, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
+def test_one_step_parse_equals_argparse(argv):
+    assert _parse_outcome(_parse, argv) == _parse_outcome(_build_parser().parse_args, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_TOKENS), max_size=6))
+def test_one_step_parse_equals_argparse_property(argv):
+    assert _parse_outcome(_parse, argv) == _parse_outcome(_build_parser().parse_args, argv)

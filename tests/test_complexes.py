@@ -27,7 +27,7 @@ from evansk import (
 )
 from evansk import complexes
 from evansk.corpus import evaluate_polynomial, random_polynomial_documents
-from evansk.limits import MAX_BOUNDARY_CELLS, MAX_PRODUCT_MADDS, LimitError, dense_cells
+from evansk.limits import MAX_BOUNDARY_CELLS, LimitError, dense_cells
 
 import oracles
 from oracles import (
@@ -365,37 +365,73 @@ def test_build_complex_refuses_over_budget(monkeypatch):
     monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
     with pytest.raises(LimitError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
         complex_of(monoid_spec([2] + [3] * 29))
-    # [3] * 11 fits the cell budget (C(11, 5) * C(11, 6) = 213 444 cells),
-    # but its products take sum C(11, p-1) C(11, p) C(11, p+1) multiply-adds.
-    madds = sum(comb(11, p - 1) * comb(11, p) * comb(11, p + 1) for p in range(1, 11))
-    assert dense_cells(11, 1) < MAX_BOUNDARY_CELLS < MAX_PRODUCT_MADDS < madds
-    with pytest.raises(LimitError) as info:
-        complex_of(monoid_spec([3] * 11))
-    assert str(info.value) == (f"certifying d o d = 0 would take {madds} multiply-adds, "
-                               f"over the limit of {MAX_PRODUCT_MADDS}")
 
 
-def product_madds(cc: ChainComplex) -> int:
-    """Multiply-adds of the dense products d_p d_(p+1) of a built complex."""
-    return sum(cc.boundary(p).rows * cc.boundary(p).cols * cc.boundary(p + 1).cols
-               for p in range(1, cc.length))
-
-
-def test_product_madds_limit_is_exact(monkeypatch):
-    # Every rank scales by n, so cyclic-large (k = 6, n = 8) takes 8^3 times
-    # the one-vertex figure: 4 239 360, with 20x headroom under the limit.
-    assert product_madds(complex_of(monoid_spec([3] * 6))) * 8 ** 3 == 4_239_360
-    assert 20 * 4_239_360 < MAX_PRODUCT_MADDS
-    # The preflight's estimate equals the real products' work: at that many
-    # multiply-adds the complex is built, at one fewer it is refused.
+def test_boundary_cells_limit_is_exact(monkeypatch):
+    # The cell limit is the only one a complex meets: [3] * 11 (C(11, 5) *
+    # C(11, 6) = 213 444 cells), whose dense d o d products would take about
+    # 2e8 multiply-adds, is built, and certified from its commutators.
+    assert dense_cells(11, 1) == 213_444 < MAX_BOUNDARY_CELLS
+    assert complex_of(monoid_spec([3] * 11)).ranks == tuple(comb(11, p) for p in range(12))
+    # The preflight's estimate is the largest boundary: at that many cells
+    # the complex is built, at one fewer it is refused.
     specs = [monoid_spec(ms) for ms in ([3], [3, 5], [2, 3, 4, 5], [3] * 7)]
     specs += [doc.spec for doc in random_polynomial_documents(10, seed=7)]
-    for spec, madds in [(spec, product_madds(complex_of(spec))) for spec in specs]:
-        monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds)
+    for spec in specs:
+        cells = dense_cells(spec.rank, spec.num_vertices)
+        monkeypatch.setattr("evansk.limits.MAX_BOUNDARY_CELLS", cells)
         complex_of(spec)
-        monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds - 1)
-        with pytest.raises(LimitError, match=f"would take {madds} multiply-adds"):
+        monkeypatch.setattr("evansk.limits.MAX_BOUNDARY_CELLS", cells - 1)
+        with pytest.raises(LimitError, match=f"would have {cells} dense cells"):
             complex_of(spec)
+
+
+@st.composite
+def families(draw):
+    """``k <= 4`` matrices, ``n x n`` with ``n <= 3``: polynomials in one matrix
+    (so they commute), or drawn entry by entry (so they rarely do)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 2 ** 66])
+
+    def matrix():
+        return IntMatrix(n, n, [[draw(entries) for _ in range(n)] for _ in range(n)])
+
+    if not draw(st.booleans()):
+        return [matrix() for _ in range(k)]
+    a, one = matrix(), IntMatrix.identity(n)
+    return [one.scaled(draw(entries)) + a.scaled(draw(entries)) + (a @ a).scaled(draw(entries))
+            for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_build_complex_certifies_by_commutators(bs):
+    # No product of boundaries is taken; the witness is the one the dense
+    # scan finds on the boundaries of the block recursion.
+    boundaries = oracles.recursive_boundaries(bs)
+    witness = dense_product_witness(boundaries)
+    commute = all(a @ b == b @ a for a, b in itertools.combinations(bs, 2))
+    assert (witness is None) == commute
+    try:
+        cc = build_complex(bs)
+    except ChainComplexError as err:
+        assert error_fields(err) == witness
+    else:
+        assert witness is None
+        assert cc.boundaries == boundaries
+
+
+def test_build_complex_multiplies_no_boundaries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no dense product")
+
+    specs = [monoid_spec([3] * 6), *(doc.spec for doc in random_polynomial_documents(10, seed=7))]
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(complexes, "differential_product_witness", refuse)
+    for spec in specs:
+        complex_of(spec)
+    with pytest.raises(ChainComplexError):
+        complex_of(spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]]))
 
 
 def test_oracles_stay_independent():

@@ -12,7 +12,7 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk import kgraph, limits
+from evansk import intmat, limits
 from evansk.corpus import random_polynomial_documents
 from evansk.limits import MAX_PRODUCT_MADDS, MAX_RANK, LimitError
 
@@ -211,7 +211,7 @@ def test_spec_estimate_bounds_validation_and_determinants(monkeypatch):
         products.append(1)
         return product(a, b)
 
-    monkeypatch.setattr(kgraph, "mul", counted_mul)
+    monkeypatch.setattr(intmat, "mul", counted_mul)  # the packed kernel's, which validate calls
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_product)
     rng = random.Random(5)
     specs = [doc.spec for doc in random_polynomial_documents(40, seed=5)]

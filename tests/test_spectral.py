@@ -402,8 +402,40 @@ def test_annihilator_kills_every_group_property(spec):
     for group in homology(Analysis(spec).complex):
         if d:
             assert group.free_rank == 0 and all(d % t == 0 for t in group.torsion)
+    h0_zero = homology(Analysis(spec).complex)[0].is_trivial
     analysis.homology
-    assert ("complex" in analysis.seconds) == (d != 1 and not spec.is_monoid)
+    assert ("complex" in analysis.seconds) == (d != 1 and not spec.is_monoid and not h0_zero)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_verdict_page_equals_snf_page_and_h0_zero_builds_no_complex(seed):
+    # The verdict path's page against Smith normal form of every boundary
+    # of the built complex.  H_0 = 0 proves the page zero from d_1's
+    # divisors alone, so those documents run no complex stage.
+    h0_zero = []
+    for doc in random_polynomial_documents(1000, seed):
+        analysis = Analysis(doc.spec)
+        hs = tuple(homology(Analysis(doc.spec).complex))
+        assert analysis.homology == hs, doc.name
+        routed = analysis.annihilator != 1 and not doc.spec.is_monoid
+        assert ("complex" in analysis.seconds) == (routed and not hs[0].is_trivial), doc.name
+        if routed and hs[0].is_trivial:
+            assert all(g.is_trivial for g in hs), doc.name
+            h0_zero.append(doc.name)
+    assert h0_zero
+    if seed == 1:
+        assert "poly-1-363" in h0_zero
+
+
+def test_h0_zero_page_pinned():
+    # poly-1-363: D = 2 and rank 2, so R6 applies to an all-zero page that
+    # d_1's divisors prove, with no complex built.
+    (doc,) = [d for d in random_polynomial_documents(364, 1) if d.name == "poly-1-363"]
+    analysis = Analysis(doc.spec)
+    assert (doc.spec.rank, doc.spec.num_vertices, analysis.annihilator) == (2, 2, 2)
+    assert analysis.verdict.rule == "R6"
+    assert analysis.verdict.e2 == (TRIVIAL_GROUP,) * 3
+    assert "complex" not in analysis.seconds
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
