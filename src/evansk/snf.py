@@ -7,7 +7,13 @@ value (in a shortest row, in its sparsest column, to keep fill-in low),
 so +-1 pivots come first.  Each split is a unimodular change of basis,
 so the divisors are the units, then the invariant factors of the other
 pivots (:func:`invariant_factors`), then zeros.  Evans boundaries are
-very sparse and full of +-1 entries, so most pivots are units.
+very sparse and full of +-1 entries, so most pivots are units.  Its work
+follows the fill-in, which the entries decide.
+
+:func:`two_power_divisors` serves the homology pipeline when every
+nonzero divisor is known to divide a power of two.  It eliminates
+modulo a power of two on packed rows, so no entry grows, and its work
+follows the shape: one step per pivot.
 
 :func:`smith_normal_form` is the certified, independent engine: dense
 elimination with pivot selection by minimal nonzero absolute value
@@ -60,6 +66,42 @@ def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     # Every pivot took a row and a column; the zeros of the diagonal trail.
     ones = units + len(pivots) - len(factors)
     return (1,) * ones + factors + (0,) * (min(m.rows, m.cols) - units - len(pivots))
+
+
+def two_power_divisors(m: IntMatrix, e: int) -> tuple[int, ...]:
+    """The elementary divisors of ``m``, given that each nonzero one divides ``2**e``.
+
+    Each nonzero divisor is then ``2**v`` for some ``v <= e``, and
+    elimination modulo ``2**f``, ``f = e + 1``, counts them by ``v``.  In
+    phase ``v`` every entry left is 0 modulo ``2**v``, so an entry of
+    valuation ``v`` divides the others: a step clears its column from
+    every other row and drops its row, a pivot ``2**v``.  The rows no step
+    takes are 0 modulo ``2**f``, so the rest of the divisors are 0.
+
+    Each row packs into one integer, an ``(2f + 1)``-bit slot per column
+    holding the entry modulo ``2**f``.  Adding ``2**f - t`` times the pivot
+    row keeps each slot below ``2**(2f + 1)``, and one AND reduces every
+    slot modulo ``2**f`` again.
+    """
+    f = e + 1
+    w = 2 * f + 1
+    mod, top = 1 << f, (1 << f) - 1
+    slots = range(0, w * m.cols, w)
+    ones = sum(1 << s for s in slots)  # bit 0 of every slot
+    mask = ones * top
+    rows = [x for i in range(m.rows) if (x := sum((y & top) << s for s, y in zip(slots, m.row(i))))]
+    found = []
+    for v in range(f):
+        bit = ones << v
+        while hit := next(((i, h) for i, x in enumerate(rows) if (h := x & bit)), None):
+            i, h = hit
+            pivot = rows.pop(i)
+            s = (h & -h).bit_length() - 1 - v  # the lowest hit's slot
+            inverse = pow(pivot >> s + v & top, -1, mod)  # of the pivot's odd part
+            found.append(1 << v)
+            rows = [y for x in rows
+                    if (y := x + (mod - (x >> s + v & top) * inverse & top) * pivot & mask)]
+    return (*found, *(0,) * (min(m.rows, m.cols) - len(found)))
 
 
 def invariant_factors(values: Sequence[int]) -> tuple[int, ...]:

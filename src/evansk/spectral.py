@@ -53,6 +53,13 @@ applies:
 4. Otherwise the complex is built, and its other boundaries go through
    Smith normal form; ``d_1``'s divisors are reused.
 
+Routes 3 and 4 read the divisors of each boundary from
+:func:`~evansk.snf.two_power_divisors` when ``D = 2**e`` with ``e >= 1``,
+and from :func:`~evansk.snf.elementary_divisors` otherwise.  Since
+``coker d_(p+1)`` is ``H_p`` plus the free group ``im d_p``, its torsion
+is ``H_p``, which ``D`` kills, so every nonzero divisor of ``d_(p+1)``
+divides ``D``: then a power of two at most ``2**e``.
+
 Only the last route builds a complex.  The groups are the E2 page's
 columns, so the page is the ``homology`` tuple itself.  The last stage
 applies the rules above to it; rules R2-R4 take ``g`` as ``D``, the same
@@ -73,7 +80,7 @@ from .complexes import ChainComplex, build_complex
 from .homology import TRIVIAL_GROUP, AbelianGroup, groups_from_divisors
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
-from .snf import elementary_divisors
+from .snf import elementary_divisors, two_power_divisors
 
 
 def e2_dict(columns: Sequence[AbelianGroup]) -> dict:
@@ -249,14 +256,18 @@ class Analysis:
             return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
         if self.spec.is_monoid:  # one vertex: det B_i = B_i
             return tuple(monoid_closed_form(self.determinants))
-        bs, n = self.coadjacencies, self.spec.num_vertices
-        d1 = elementary_divisors(IntMatrix._raw(n, n * len(bs), tuple(
+        bs, n, g = self.coadjacencies, self.spec.num_vertices, self.annihilator
+        if g == 0 or g & (g - 1):  # not a power of two
+            divisors = elementary_divisors
+        else:  # g = 2**e, e >= 1: each nonzero divisor divides g
+            def divisors(m: IntMatrix) -> tuple[int, ...]:
+                return two_power_divisors(m, g.bit_length() - 1)
+        d1 = divisors(IntMatrix._raw(n, n * len(bs), tuple(
             tuple(chain.from_iterable(b.row(r) for b in bs)) for r in range(n))))
         if d1[-1] == 1:  # every divisor is 1: H_0 = 0, so every H_p = 0
             return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
         cc = self.complex
-        return tuple(groups_from_divisors(cc.ranks, [d1, *map(elementary_divisors,
-                                                               cc.boundaries[1:])]))
+        return tuple(groups_from_divisors(cc.ranks, [d1, *map(divisors, cc.boundaries[1:])]))
 
     @_stage
     def verdict(self) -> KTheoryVerdict:

@@ -207,3 +207,45 @@ def test_divisors_with_zero_rows_and_columns():
     # Units only, with fill-in from the first pivot: the residue is empty.
     m = IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]])
     assert elementary_divisors(m) == smith_normal_form(m).divisors == (1, 1, 0)
+
+
+@st.composite
+def two_power_matrices(draw, max_side=6):
+    """``(U @ S @ V, e)``: ``S`` holds 0s and powers of two up to ``2**e`` on its
+    diagonal, and ``U``, ``V`` are products of random elementary operations."""
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    e = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    diag = [draw(st.sampled_from([0, *(1 << v for v in range(e + 1))]))
+            for _ in range(min(rows, cols))]
+    a = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(3 * (rows + cols)):
+        q = rng.randint(-3, 3)
+        if rows > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(rows), 2)
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        elif cols > 1:
+            i, j = rng.sample(range(cols), 2)
+            for row in a:
+                row[i] += q * row[j]
+    return IntMatrix(rows, cols, a), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_power_matrices())
+def test_two_power_divisors_match_elimination(case):
+    m, e = case
+    assert snf.two_power_divisors(m, e) == elementary_divisors(m)
+
+
+def test_two_power_divisors_examples():
+    # Each nonzero divisor must divide 2**e: (1, 4, 0) needs e >= 2.
+    m = IntMatrix.from_rows([[2, 0, 0], [0, 4, 0], [1, 0, 0]])
+    assert snf.two_power_divisors(m, 2) == elementary_divisors(m) == (1, 4, 0)
+    m = IntMatrix.from_rows([[4, 2], [2, 5]])  # det 16, divisors (1, 16)
+    assert snf.two_power_divisors(m, 4) == elementary_divisors(m) == (1, 16)
+    m = IntMatrix.from_rows([[-6, 10, 2 ** 70], [2, 2, 0]])  # entries wider than a slot
+    assert snf.two_power_divisors(m, 4) == elementary_divisors(m) == (2, 16)
+    for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+        assert snf.two_power_divisors(IntMatrix(r, c, [[0] * c for _ in range(r)]), 3) == (0,) * min(r, c)

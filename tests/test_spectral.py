@@ -24,7 +24,7 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk import spectral
+from evansk import snf, spectral
 from evansk.corpus import random_polynomial_documents
 
 from oracles import adjugate, det_cofactor
@@ -501,3 +501,38 @@ def test_assigned_stage_is_not_timed():
         "validation", "determinants", "annihilator", "verdict",
     ]
     assert all(t >= 0 for t in analysis.seconds.values())
+
+
+def _circulant(n, coeffs):
+    """q(P) for the n-cycle's shift P, q the coefficient list."""
+    return [[coeffs[(c - r) % n] for c in range(n)] for r in range(n)]
+
+
+def test_power_of_two_annihilator_takes_the_packed_kernel(monkeypatch):
+    # D = 2**e: every boundary's divisors come from two_power_divisors, and
+    # the page equals Smith normal form's; other D still eliminate over Z.
+    circulants = [spec_from_matrices([_circulant(4, c) for c in ([0, 1, 1, 1], [2, 0, 1, 0],
+                                                                  [1, 0, 0, 2])]),
+                  spec_from_matrices([_circulant(6, c) for c in ([1, 1, 0, 1, 0, 0],
+                                                                  [0, 2, 0, 0, 1, 0],
+                                                                  [0, 0, 1, 1, 1, 0])])]
+    routed = [d.spec for d in random_polynomial_documents(300, 1)
+              if not d.spec.is_monoid and Analysis(d.spec).annihilator != 1]
+    specs = circulants + routed
+    expected = [tuple(homology(Analysis(s).complex)) for s in specs]
+    calls = []
+    monkeypatch.setattr(spectral, "elementary_divisors",
+                        lambda m: calls.append(m) or snf.elementary_divisors(m))
+    two_power = 0
+    for spec, hs in zip(specs, expected):
+        analysis = Analysis(spec)
+        before = len(calls)
+        assert analysis.homology == hs
+        g = analysis.annihilator
+        if g and not g & (g - 1):
+            two_power += 1
+            assert len(calls) == before, spec
+        else:
+            assert len(calls) > before, spec
+    assert [Analysis(s).annihilator for s in circulants] == [16, 4]
+    assert two_power >= 20
