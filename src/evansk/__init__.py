@@ -13,6 +13,7 @@ from .complexes import (
     build_complex,
     build_differential_direct,
     differential_product_witness,
+    evans_boundary,
 )
 from .documents import (
     DocumentError,
@@ -83,6 +84,7 @@ __all__ = [
     "dumps_documents",
     "elementary_divisors",
     "enumerate_tuples",
+    "evans_boundary",
     "format_index_tuple",
     "homology",
     "k_theory_verdict",

@@ -121,7 +121,16 @@ def differential_product_witness(cc: ChainComplex) -> tuple[int, int, int, int] 
     return None
 
 
-def _from_pattern(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
+def evans_boundary(bs: Sequence[IntMatrix], p: int) -> IntMatrix:
+    """The degree-``p`` boundary of the ``n x n`` matrices ``bs``, filled in from
+    the signed-deletion pattern; the one builder of every boundary.
+
+    Rows follow the canonical order of degree ``p - 1``, columns of degree
+    ``p``.  Only ``p`` is checked: the caller vouches for the matrices.
+    """
+    k, n = len(bs), bs[0].rows
+    if not 1 <= p <= k:
+        raise ValueError(f"degree {p} out of range 1..{k}")
     rows, cols = comb(k, p - 1) * n, comb(k, p) * n
     plus = [[b.row(r) for r in range(n)] for b in bs]
     minus = [[tuple(-x for x in row) for row in block] for block in plus]
@@ -135,32 +144,32 @@ def _from_pattern(bs: Sequence[IntMatrix], n: int, k: int, p: int) -> IntMatrix:
 
 
 def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
-    """Boundary of degree ``p``, filled in from the signed-deletion pattern.
-
-    Rows follow the canonical order of degree ``p - 1``, columns of
-    degree ``p``; the caller is responsible for validating the spec.  No
-    report calls it; it stays because ``perfbench/reference.py`` does.
-    """
-    if not 1 <= p <= spec.rank:
-        raise ValueError(f"degree {p} out of range 1..{spec.rank}")
-    return _from_pattern(coadjacencies(spec), spec.num_vertices, spec.rank, p)
+    """:func:`evans_boundary` of the spec's co-adjacency matrices; the caller is
+    responsible for validating the spec.  No report calls it; it stays because
+    ``perfbench/reference.py`` does."""
+    return evans_boundary(coadjacencies(spec), p)
 
 
 def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
-    """The Evans chain complex of the commuting ``n x n`` matrices ``bs``.
+    """The Evans chain complex of the commuting ``n x n`` matrices ``bs``: the
+    library's certified constructor, behind ``evansk complex`` and the tests.
 
-    The boundaries are filled in from the signed-deletion pattern, and
-    ``d o d = 0`` is certified from the commutators, which are the blocks of
-    ``d_p d_(p+1)``: the products ``B_j B_i`` and ``B_i B_j`` of each
-    degree-2 tuple ``(i, j)`` are compared on packed rows
-    (:func:`~evansk.intmat.product_differences`), and no boundaries are
-    multiplied.  Matrices that do not commute raise
+    The boundaries come from :func:`evans_boundary`, and ``d o d = 0`` is
+    certified from the commutators, which are the blocks of ``d_p d_(p+1)``:
+    the products ``B_j B_i`` and ``B_i B_j`` of each degree-2 tuple ``(i, j)``
+    are compared on packed rows (:func:`~evansk.intmat.product_differences`),
+    and no boundaries are multiplied.  It proves this for every family, even
+    for a spec's matrices that validation has already proved to commute, since
+    it takes matrices, not a spec.  The verdict path builds no complex: its
+    ``homology`` stage reads the boundaries it needs from
+    :func:`evans_boundary`.  Matrices that do not commute raise
     :class:`ChainComplexError` at the first nonzero entry of ``d_1 d_2`` in
     row-major order, the witness the dense products would give: its block
     is ``B_j B_i - B_i B_j``, blocks in canonical tuple order.  An empty
     family or matrices that are not all ``n x n`` raise ``ValueError``, and
-    a complex over a limit of :mod:`evansk.limits` raises ``LimitError``,
-    before anything is assembled.
+    a complex over a limit of :mod:`evansk.limits` (its largest boundary's
+    cells, then the commutator check's multiply-adds) raises ``LimitError``,
+    before anything is computed.
     """
     if not bs:
         raise ValueError("at least one matrix is required")
@@ -170,6 +179,7 @@ def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
             raise ValueError(f"matrix {i} has shape {b.shape()}, expected {n}x{n}")
     limits.check_complex(k, n)
     if n > 1:  # 1x1 matrices always commute
+        limits.check_commutators(k, n)
         # (B_j, B_i) for each degree-2 tuple (i, j), keyed to its block of d_1 d_2
         blocks = {(j - 1, i - 1): t for t, (i, j) in enumerate(enumerate_tuples(2, k))}
         witness = min(((r, blocks[a, b], c, x - y)
@@ -178,5 +188,5 @@ def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
             r, t, c, value = witness
             raise ChainComplexError(1, r, t * n + c, value)
     ranks = tuple(comb(k, p) * n for p in range(k + 1))
-    boundaries = tuple(_from_pattern(bs, n, k, p) for p in range(1, k + 1))
+    boundaries = tuple(evans_boundary(bs, p) for p in range(1, k + 1))
     return ChainComplex._certified(ranks, boundaries)

@@ -119,9 +119,11 @@ def homology(cc: ChainComplex) -> list[AbelianGroup]:
 
     ``cc`` squares to zero: its constructor, or
     :func:`~evansk.complexes.build_complex`, certified that.  The verdict
-    path (:class:`evansk.spectral.Analysis`) reaches the boundaries only when
-    neither the determinants of the ``B_i`` nor ``H_0`` already prove every
-    group zero, and then through :func:`groups_from_divisors`.
+    path (:class:`evansk.spectral.Analysis`) calls neither: it takes no
+    complex, assembles each boundary it needs once with
+    :func:`~evansk.complexes.evans_boundary`, and passes their divisors to
+    :func:`groups_from_divisors`, unless the determinants of the ``B_i``,
+    the one-vertex closed form or ``H_0 = 0`` settles the page first.
     """
     return groups_from_divisors(cc.ranks, [elementary_divisors(b) for b in cc.boundaries])
 

@@ -7,7 +7,7 @@ import sys
 from math import comb
 
 MAX_RANK = 1000  # validation compares every pair of coordinates
-MAX_PRODUCT_MADDS = 10**8  # multiply-adds of a spec's own work: validation and determinants
+MAX_PRODUCT_MADDS = 10**8  # multiply-adds of validation and determinants, or of a commutator proof
 MAX_BOUNDARY_CELLS = 10**7  # cells of one dense boundary
 MAX_REPORT_TORSION = 10**6  # torsion entries per JSON page; a text page prints powers
 MAX_DOCUMENTS = 10**5  # documents per generator call
@@ -49,6 +49,13 @@ def check_spec(k: int, n: int) -> None:
 def check_complex(k: int, n: int) -> None:
     cells = dense_cells(k, n)
     _check(cells, MAX_BOUNDARY_CELLS, f"the largest boundary would have {cells} dense cells")
+
+
+def check_commutators(k: int, n: int) -> None:
+    """Bounds :func:`~evansk.complexes.build_complex`'s commutator proof by the spec estimate,
+    which every spec passes when it is made, for matrices that come from no spec."""
+    madds = spec_madds(k, n)
+    _check(madds, MAX_PRODUCT_MADDS, f"the commutator check would take {madds} multiply-adds")
 
 
 def check_report(groups) -> None:

@@ -42,41 +42,51 @@ applies:
    is the tensor product of the two-term complexes ``Z --B_i--> Z``.  The
    Künneth theorem gives every group from ``g`` alone
    (:func:`monoid_closed_form`).  This route builds no matrix at all.
-3. Otherwise ``d_1``'s elementary divisors come first, from the ``B_i``
-   placed side by side.  If all ``n`` are 1, then
+3. Otherwise the boundaries are assembled in degree order, each once,
+   from the signed-deletion pattern (:func:`~evansk.complexes.evans_boundary`),
+   and each goes through Smith normal form as it comes.  ``d_1`` is the
+   ``B_i`` side by side.  If its divisors are all 1, then
    ``H_0 = coker [B_1 ... B_k] = 0``, and every group is zero: the Evans
    complex is the Koszul complex of ``M = Z^n`` over ``Z[x_1, ..., x_k]``,
    ``x_i`` acting by ``B_i``; ``M = (x) M`` gives an ``a`` in ``1 + (x)``
    with ``a M = 0`` (Nakayama, Atiyah-Macdonald 2.5), and ``(x)`` kills
    every ``H_p`` (Bruns-Herzog 1.6.5), so ``a`` acts on ``H_p`` as both 0
-   and 1.  This route builds no complex.
-4. Otherwise the complex is built, and its other boundaries go through
-   Smith normal form; ``d_1``'s divisors are reused.
+   and 1.  Only past that exit is the complex's size checked
+   (:func:`~evansk.limits.check_complex`) and ``d_2 .. d_k`` assembled.
 
-Routes 3 and 4 read the divisors of each boundary from
+The third route reads the divisors of each boundary from
 :func:`~evansk.snf.two_power_divisors` when ``D = 2**e`` with ``e >= 1``,
 and from :func:`~evansk.snf.elementary_divisors` otherwise.  Since
 ``coker d_(p+1)`` is ``H_p`` plus the free group ``im d_p``, its torsion
 is ``H_p``, which ``D`` kills, so every nonzero divisor of ``d_(p+1)``
-divides ``D``: then a power of two at most ``2**e``.
+divides ``D``: then a power of two at most ``2**e``.  Its page is checked
+against identities every Evans page keeps: the free ranks' alternating
+sum is the complex's Euler characteristic, 0; when ``D != 0`` every group
+is finite and ``D`` kills it, and the orders' alternating product is 1 for
+``k >= 2`` (each ``B_j`` acts on a Koszul complex of finite homology), while
+``|H_0| = D`` and ``H_1 = 0`` for ``k = 1``.  A page that breaks one raises
+:class:`PageIdentityError`, a fault of the program, never of the input.
 
-Only the last route builds a complex.  The groups are the E2 page's
-columns, so the page is the ``homology`` tuple itself.  The last stage
-applies the rules above to it; rules R2-R4 take ``g`` as ``D``, the same
-gcd of the determinants.  ``Analysis.seconds`` times each stage run.
+No route builds a :class:`~evansk.complexes.ChainComplex` or proves
+commutation again: validation has proved it, and ``d o d = 0`` follows.
+The groups are the E2 page's columns, so the page is the ``homology``
+tuple itself.  The last stage applies the rules above to it; rules R2-R4
+take ``g`` as ``D``, the same gcd of the determinants.
+``Analysis.seconds`` times each stage run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, pairwise
-from math import comb, gcd
+from functools import partial
+from itertools import pairwise
+from math import comb, gcd, prod
 from collections.abc import Sequence
 from time import perf_counter
 
 from . import limits
-from .complexes import ChainComplex, build_complex
+from .complexes import ChainComplex, build_complex, evans_boundary
 from .homology import TRIVIAL_GROUP, AbelianGroup, groups_from_divisors
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
@@ -148,6 +158,30 @@ def monoid_closed_form(b_values: Sequence[int]) -> list[AbelianGroup]:
     return [AbelianGroup.cyclic(g, comb(k - 1, p)) for p in range(k)] + [TRIVIAL_GROUP]
 
 
+class PageIdentityError(RuntimeError):
+    """A computed page breaks an identity every Evans page keeps: a fault of
+    the program, never of its input."""
+
+
+def _check_page(hs: tuple[AbelianGroup, ...], d: int) -> None:
+    """Raise :class:`PageIdentityError` unless the page ``hs``, degrees ``0..k``,
+    with annihilator ``d`` keeps the module notes' identities; O(k) big-integer steps."""
+    if sum(g.free_rank for g in hs[0::2]) != sum(g.free_rank for g in hs[1::2]):
+        raise PageIdentityError("Euler characteristic: the free ranks' alternating sum is not 0")
+    if not d:
+        return
+    for p, g in enumerate(hs):
+        if g.free_rank or (g.runs and d % g.runs[-1][0]):
+            raise PageIdentityError(f"annihilator: H_{p} is infinite or not killed by D")
+    orders = [prod(t ** m for t, m in g.runs) for g in hs]
+    if len(hs) == 2:
+        if orders != [d, 1]:
+            raise PageIdentityError("rank 1: |H_0| is not D, or H_1 is not 0")
+    elif prod(orders[0::2]) != prod(orders[1::2]):
+        raise PageIdentityError("multiplicative Euler characteristic: the even and the odd "
+                                "groups' orders have different products")
+
+
 R4_LIST_BOUND = 10**7  # above it, R4's commentary states its family instead of listing it
 
 
@@ -193,11 +227,13 @@ class Analysis:
 
     Every stage after ``validation`` raises
     :class:`~evansk.kgraph.SpecValidationError` on an invalid spec.  A
-    one-vertex spec reads its determinants from its loop counts, so only
-    its ``complex`` stage reads ``coadjacencies``.  The ``homology`` stage takes the first
-    route of the module notes that applies; only the last reads the
-    ``complex`` stage.  ``verdict`` applies the first matching rule and
-    carries ``homology`` as its ``e2``.
+    one-vertex spec reads its determinants from its loop counts.  The
+    ``homology`` stage takes the first of the module notes' three routes
+    that applies; the last reads ``coadjacencies`` and assembles each
+    boundary it needs once.  ``verdict`` applies the first matching rule
+    and carries ``homology`` as its ``e2``.  No stage of that chain reads
+    ``complex``: it is the certified :func:`~evansk.complexes.build_complex`
+    of ``coadjacencies``, for ``evansk complex`` and library callers.
 
     A stage is a non-data descriptor, so a value assigned before the stage
     is read stands in for it, and is not timed: after
@@ -252,22 +288,23 @@ class Analysis:
 
     @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:
-        if self.annihilator == 1:
-            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
-        if self.spec.is_monoid:  # one vertex: det B_i = B_i
+        k, n, g = self.spec.rank, self.spec.num_vertices, self.annihilator
+        if g == 1:
+            return (TRIVIAL_GROUP,) * (k + 1)
+        if n == 1:  # one vertex: det B_i = B_i
             return tuple(monoid_closed_form(self.determinants))
-        bs, n, g = self.coadjacencies, self.spec.num_vertices, self.annihilator
         if g == 0 or g & (g - 1):  # not a power of two
             divisors = elementary_divisors
         else:  # g = 2**e, e >= 1: each nonzero divisor divides g
-            def divisors(m: IntMatrix) -> tuple[int, ...]:
-                return two_power_divisors(m, g.bit_length() - 1)
-        d1 = divisors(IntMatrix._raw(n, n * len(bs), tuple(
-            tuple(chain.from_iterable(b.row(r) for b in bs)) for r in range(n))))
-        if d1[-1] == 1:  # every divisor is 1: H_0 = 0, so every H_p = 0
-            return (TRIVIAL_GROUP,) * (self.spec.rank + 1)
-        cc = self.complex
-        return tuple(groups_from_divisors(cc.ranks, [d1, *map(divisors, cc.boundaries[1:])]))
+            divisors = partial(two_power_divisors, e=g.bit_length() - 1)
+        found = [divisors(evans_boundary(self.coadjacencies, 1))]
+        if found[0][-1] == 1:  # every divisor is 1: H_0 = 0, so every H_p = 0
+            return (TRIVIAL_GROUP,) * (k + 1)
+        limits.check_complex(k, n)  # only past the H_0 = 0 exit, which needs d_1 alone
+        found += (divisors(evans_boundary(self.coadjacencies, p)) for p in range(2, k + 1))
+        hs = tuple(groups_from_divisors([comb(k, p) * n for p in range(k + 1)], found))
+        _check_page(hs, g)
+        return hs
 
     @_stage
     def verdict(self) -> KTheoryVerdict:

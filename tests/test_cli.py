@@ -16,11 +16,11 @@ import evansk
 from evansk import document_from_dict, dumps_document
 from evansk import corpus, limits, spectral
 from evansk.cli import _build_parser, _parse, main
-from evansk.complexes import build_complex, differential_product_witness
+from evansk.complexes import build_complex, differential_product_witness, evans_boundary
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import AbelianGroup, homology
-from evansk.intmat import IntMatrix
+from evansk.intmat import IntMatrix, product_differences
 from evansk.kgraph import (
     SpecValidationError,
     coadjacencies,
@@ -602,6 +602,9 @@ COPRIME_DETS = monoid_document([3, 4]).spec  # dets -2 and -3, none a unit: rule
 TWO_VERTEX_GCD_4 = spec_from_matrices([[[2, 1], [1, 2]], [[1, 2], [2, 1]]])
 # poly-1-363 of seed 1: D = 2, yet B_1 and B_2 side by side have unit divisors, so H_0 = 0.
 H0_ZERO = spec_from_matrices([[[13, 14], [14, 20]], [[12, 14], [14, 19]]])
+# Its M_1 and M_2 alternated up to rank 16: still D = 2 and H_0 = 0, while its largest
+# boundary would have C(16, 7) * C(16, 8) * 2^2 = 588 931 200 dense cells.
+H0_ZERO_RANK_16 = spec_from_matrices([[[13, 14], [14, 20]], [[12, 14], [14, 19]]] * 8)
 
 
 @pytest.mark.parametrize("spec, status", [
@@ -616,17 +619,47 @@ H0_ZERO = spec_from_matrices([[[13, 14], [14, 20]], [[12, 14], [14, 19]]])
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
     builds = _count_calls(monkeypatch, build_complex)
+    assembled = _count_calls(monkeypatch, evans_boundary)
     coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
     determinants = _count_determinants(monkeypatch)
+    commutator_checks = _count_calls(monkeypatch, product_differences)
     assert _json_verdict(spec, tmp_path / "doc.json")[0] == status
     assert len(validations) == 1
-    # gcd det(B_i) = 1 or H_0 = 0 proves every group zero, and a one-vertex
-    # page comes from the Künneth closed form: none assembles the complex.
-    assert len(builds) == (1 if spec is TWO_VERTEX_GCD_4 else 0)
+    # Commutation is proved once, by validation; no complex is built.  gcd
+    # det(B_i) = 1 proves every group zero and a one-vertex page comes from
+    # the Künneth closed form: neither assembles a boundary.  H_0 = 0 is read
+    # from d_1 alone; otherwise each boundary is assembled once, in order.
+    assert len(commutator_checks) == (0 if spec.is_monoid else 1)
+    assert builds == []
+    degrees = [1, 2] if spec is TWO_VERTEX_GCD_4 else [1] if spec is H0_ZERO else []
+    assert [p for _, p in assembled] == degrees
     # One vertex: the determinants are the loop counts' 1 - m_i, no matrix.
     builds_bs = status == 0 and not spec.is_monoid
     assert len(coadjacency_builds) == (1 if builds_bs else 0)
     assert len(determinants) == (spec.rank if builds_bs else 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_h0_zero_answers_past_the_cell_limit_and_complex_is_refused(fmt, tmp_path):
+    # H_0 = 0 is read from d_1, a 2 x 32 matrix, before the cell limit is
+    # checked; only d_2 .. d_16, and so `complex`, would need the big boundaries.
+    path = tmp_path / "h0-zero-rank16.json"
+    path.write_text(dumps_document(GraphDocument(spec=H0_ZERO_RANK_16)), encoding="utf-8")
+    proc = _run_limited(["verdict", str(path), "--format", fmt])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if fmt == "json":
+        report = json.loads(proc.stdout)
+        assert report["verdict"]["rule"] == "R8"
+        assert [g["pretty"] for g in report["e2"]["columns"]] == ["0"] * 17
+        assert "complex" not in report["timing"]["seconds"]
+    else:
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "indeterminate; rule R8"
+        assert lines[-1] == "E2 columns: " + ", ".join(["0"] * 17)
+    proc = _run_limited(["complex", str(path), "--format", fmt])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the largest boundary would have 588931200 dense cells, "
+                           f"over the limit of {MAX_BOUNDARY_CELLS}\n")
 
 
 # A multi-vertex spec with D = gcd det(B_i) = 1 (det B_1 = -1).
@@ -634,33 +667,36 @@ TWO_VERTEX_D_1 = spec_from_matrices([[[1, 1], [1, 0]], [[2, 1], [1, 1]]])
 PAGE_STAGES = ["validation", "coadjacencies", "determinants", "annihilator"]
 
 
-@pytest.mark.parametrize("spec, route", [
+@pytest.mark.parametrize("spec, degrees", [
     (TWO_VERTEX_D_1, []),  # the trivial page
     (monoid_document([3, 5, 7]).spec, []),  # g = 2: the Künneth closed form
-    (H0_ZERO, []),  # d_1's divisors alone: H_0 = 0
-    (TWO_VERTEX_GCD_4, ["complex"]),  # Smith normal form
+    (H0_ZERO, [1]),  # d_1's divisors alone: H_0 = 0
+    (TWO_VERTEX_GCD_4, [1, 2]),  # Smith normal form of each boundary
 ], ids=["D=1", "one-vertex", "H0=0", "snf"])
-def test_timing_lists_each_stage_run_then_total(spec, route, tmp_path, capsys):
+def test_timing_lists_each_stage_run_then_total(spec, degrees, tmp_path, monkeypatch, capsys):
     assert (Analysis(spec).annihilator == 1) == (spec is TWO_VERTEX_D_1)
     path = tmp_path / "doc.json"
     path.write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
     # One vertex: the determinants are read from the loop counts.
     page = [s for s in PAGE_STAGES if not (spec.is_monoid and s == "coadjacencies")]
-    homology_keys = page + route + ["homology"]
+    homology_keys = page + ["homology"]
     expected = {
-        "validate": ["validation"],
-        "complex": ["validation", "coadjacencies", "complex"],
-        "homology": homology_keys,
-        "e2": homology_keys,
-        "verdict": homology_keys + ["verdict"],
+        "validate": (["validation"], []),
+        "complex": (["validation", "coadjacencies", "complex"], list(range(1, spec.rank + 1))),
+        "homology": (homology_keys, degrees),
+        "e2": (homology_keys, degrees),
+        "verdict": (homology_keys + ["verdict"], degrees),
     }
-    for command, stages in expected.items():
+    assembled = _count_calls(monkeypatch, evans_boundary)
+    for command, (stages, command_degrees) in expected.items():
+        assembled.clear()
         assert main([command, str(path), "--format", "json"]) == 0
         seconds = json.loads(capsys.readouterr().out)["timing"]["seconds"]
         assert list(seconds) == stages + ["total"], command
         assert all(t >= 0 for t in seconds.values()), command
         # Each figure is rounded to 1e-6 s, so the sum may gain that much per key.
         assert sum(seconds[s] for s in stages) <= seconds["total"] + 1e-6 * len(seconds)
+        assert [p for _, p in assembled] == command_degrees, command
 
 
 def test_total_counts_reading_the_document(monoid_file, monkeypatch, capsys):
@@ -697,11 +733,12 @@ def test_no_report_behind_the_page_multiplies_matrices(command, tmp_path, monkey
         paths[-1].write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
     products = _count_calls(monkeypatch, differential_product_witness)
     matmuls = _count_matmuls(monkeypatch)
+    builds = _count_calls(monkeypatch, build_complex)
     for path in paths:
         for fmt in ("text", "json"):
             assert main([command, str(path), "--format", fmt]) in (0, 1)
     capsys.readouterr()
-    assert (len(products), len(matmuls)) == (0, 0)
+    assert (len(products), len(matmuls), len(builds)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("spec", [

@@ -21,13 +21,15 @@ from evansk import (
     coadjacencies,
     differential_product_witness,
     enumerate_tuples,
+    evans_boundary,
     homology,
     monoid_spec,
     spec_from_matrices,
+    validate,
 )
 from evansk import complexes
 from evansk.corpus import evaluate_polynomial, random_polynomial_documents
-from evansk.limits import MAX_BOUNDARY_CELLS, LimitError, dense_cells
+from evansk.limits import MAX_BOUNDARY_CELLS, LimitError, dense_cells, spec_madds
 
 import oracles
 from oracles import (
@@ -95,8 +97,10 @@ def test_rank1_base_case():
 def test_degree_out_of_range():
     spec = monoid_spec([3, 5])
     for p in (0, 3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"degree {p} out of range 1..2"):
             build_differential_direct(spec, p)
+        with pytest.raises(ValueError, match=f"degree {p} out of range 1..2"):
+            evans_boundary(coadjacencies(spec), p)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -362,7 +366,7 @@ def test_build_complex_refuses_over_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("nothing is assembled over budget")
 
-    monkeypatch.setattr("evansk.complexes._from_pattern", refuse)
+    monkeypatch.setattr("evansk.complexes.evans_boundary", refuse)
     with pytest.raises(LimitError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
         complex_of(monoid_spec([2] + [3] * 29))
 
@@ -421,6 +425,43 @@ def test_build_complex_certifies_by_commutators(bs):
         assert cc.boundaries == boundaries
 
 
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_validation_refuses_exactly_the_families_build_complex_refuses(bs):
+    # B_i B_j - B_j B_i = (M_j M_i - M_i M_j)^T for B_i = I - M_i^T, so the
+    # verdict path's validation proves all that build_complex's proof does.
+    spec = spec_from_matrices([b.to_lists() for b in bs])
+    refused = any(v.kind == "non_commuting" for v in validate(spec).violations)
+    try:
+        build_complex(coadjacencies(spec))
+    except ChainComplexError:
+        assert refused
+    else:
+        assert not refused
+
+
+def test_commutator_proof_is_bounded_by_the_spec_estimate(monkeypatch):
+    # Matrices that come from no spec meet the estimate every spec meets
+    # when it is made, before any product is compared.
+    def refuse(*args):
+        raise AssertionError("nothing is compared over budget")
+
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    commuting, non_commuting = (a, a @ a), (a, IntMatrix.from_rows([[0, 1], [1, 1]]))
+    madds = spec_madds(2, 2)
+    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds)
+    assert build_complex(commuting).ranks == (2, 4, 2)
+    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds - 1)
+    monkeypatch.setattr(complexes, "product_differences", refuse)
+    for bs in (commuting, non_commuting):
+        with pytest.raises(LimitError) as info:
+            build_complex(bs)
+        assert str(info.value) == (f"the commutator check would take {madds} multiply-adds, "
+                                   f"over the limit of {madds - 1}")
+    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", 0)  # 1x1 matrices need no proof
+    assert build_complex((IntMatrix.from_rows([[2]]),) * 3).ranks == (1, 3, 3, 1)
+
+
 def test_build_complex_multiplies_no_boundaries(monkeypatch):
     def refuse(*args):
         raise AssertionError("no dense product")
@@ -450,7 +491,7 @@ def test_oracles_stay_independent():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert "evansk" in names and "evansk.IntMatrix" in names  # the walk sees imports
-    forbidden = {"boundary_pattern", "_from_pattern", "snf", "smith_normal_form",
+    forbidden = {"boundary_pattern", "evans_boundary", "snf", "smith_normal_form",
                  "elementary_divisors", "invariant_factors"}
     found = {n for n in names if n.split(".")[-1] in forbidden or n.startswith("evansk.snf")}
     assert found == set()

@@ -1,9 +1,11 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from math import comb, gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,33 @@ from strategies import specs, wide_monoid_specs
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
+
+
+def verdict_route(spec) -> tuple[Analysis, list[int]]:
+    """The spec's verdict, run, and the degrees of the boundaries it assembled,
+    in order; building a complex on the way fails the test."""
+    degrees = []
+    assemble = spectral.evans_boundary
+
+    def counted(bs, p):
+        degrees.append(p)
+        return assemble(bs, p)
+
+    def refuse(*args):
+        raise AssertionError("the verdict path builds no complex")
+
+    with (mock.patch.object(spectral, "evans_boundary", counted),
+          mock.patch.object(spectral, "build_complex", refuse)):
+        analysis = Analysis(spec)
+        analysis.verdict
+    return analysis, degrees
+
+
+def expected_degrees(spec, d: int, hs) -> list[int]:
+    """None when D = 1 or on one vertex, d_1 alone when H_0 = 0, else each once in order."""
+    if d == 1 or spec.is_monoid:
+        return []
+    return [1] if hs[0].is_trivial else list(range(1, spec.rank + 1))
 
 
 def test_page_from_monoid_rank3():
@@ -395,31 +424,29 @@ def test_adjugate_contracts_to_determinant_property(spec):
 def test_annihilator_kills_every_group_property(spec):
     # D = gcd(det B_i) annihilates every H_p of the pattern-built complex:
     # when D != 0 each group is finite and each torsion order divides D.
-    analysis = Analysis(spec)
+    analysis, degrees = verdict_route(spec)
     bs = coadjacencies(spec)
     assert analysis.annihilator == gcd(*(det_cofactor(b.to_lists()) for b in bs))
     d = analysis.annihilator
-    for group in homology(Analysis(spec).complex):
+    hs = homology(Analysis(spec).complex)
+    for group in hs:
         if d:
             assert group.free_rank == 0 and all(d % t == 0 for t in group.torsion)
-    h0_zero = homology(Analysis(spec).complex)[0].is_trivial
-    analysis.homology
-    assert ("complex" in analysis.seconds) == (d != 1 and not spec.is_monoid and not h0_zero)
+    assert degrees == expected_degrees(spec, d, hs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_verdict_page_equals_snf_page_and_h0_zero_builds_no_complex(seed):
     # The verdict path's page against Smith normal form of every boundary
-    # of the built complex.  H_0 = 0 proves the page zero from d_1's
-    # divisors alone, so those documents run no complex stage.
+    # of the built complex.  The path builds no complex: H_0 = 0 proves the
+    # page zero from d_1 alone, and otherwise each boundary is assembled once.
     h0_zero = []
     for doc in random_polynomial_documents(1000, seed):
-        analysis = Analysis(doc.spec)
+        analysis, degrees = verdict_route(doc.spec)
         hs = tuple(homology(Analysis(doc.spec).complex))
         assert analysis.homology == hs, doc.name
-        routed = analysis.annihilator != 1 and not doc.spec.is_monoid
-        assert ("complex" in analysis.seconds) == (routed and not hs[0].is_trivial), doc.name
-        if routed and hs[0].is_trivial:
+        assert degrees == expected_degrees(doc.spec, analysis.annihilator, hs), doc.name
+        if degrees and hs[0].is_trivial:  # routed past D = 1 and the closed form
             assert all(g.is_trivial for g in hs), doc.name
             h0_zero.append(doc.name)
     assert h0_zero
@@ -429,12 +456,13 @@ def test_verdict_page_equals_snf_page_and_h0_zero_builds_no_complex(seed):
 
 def test_h0_zero_page_pinned():
     # poly-1-363: D = 2 and rank 2, so R6 applies to an all-zero page that
-    # d_1's divisors prove, with no complex built.
+    # d_1's divisors prove, with no other boundary assembled.
     (doc,) = [d for d in random_polynomial_documents(364, 1) if d.name == "poly-1-363"]
-    analysis = Analysis(doc.spec)
+    analysis, degrees = verdict_route(doc.spec)
     assert (doc.spec.rank, doc.spec.num_vertices, analysis.annihilator) == (2, 2, 2)
     assert analysis.verdict.rule == "R6"
     assert analysis.verdict.e2 == (TRIVIAL_GROUP,) * 3
+    assert degrees == [1]
     assert "complex" not in analysis.seconds
 
 
@@ -469,10 +497,10 @@ def test_rank_30_vanishing_builds_no_complex(ms, rule, monkeypatch):
 def test_one_vertex_closed_form_matches_snf_property(spec):
     # The production page (proof or Künneth closed form, no complex) against
     # Smith normal form of the pattern-built complex.
-    analysis = Analysis(spec)
+    analysis, degrees = verdict_route(spec)
     hs = tuple(homology(Analysis(spec).complex))
     assert analysis.homology == hs
-    assert "complex" not in analysis.seconds
+    assert degrees == []
     dispatched = Analysis(spec)
     dispatched.homology = hs  # the rule dispatch on the SNF groups
     assert analysis.verdict == dispatched.verdict
@@ -536,3 +564,42 @@ def test_power_of_two_annihilator_takes_the_packed_kernel(monkeypatch):
             assert len(calls) > before, spec
     assert [Analysis(s).annihilator for s in circulants] == [16, 4]
     assert two_power >= 20
+
+
+PAGE_IDENTITY_BREAKS = [
+    ((AbelianGroup.free(1), TRIVIAL_GROUP), 0, "Euler characteristic"),
+    ((Z3, Z3, TRIVIAL_GROUP), 2, "annihilator: H_0"),
+    ((TRIVIAL_GROUP, AbelianGroup.free(1), AbelianGroup.free(1)), 2, "annihilator: H_1"),
+    ((Z2, TRIVIAL_GROUP), 4, "rank 1"),
+    ((Z2, Z2), 2, "rank 1"),
+    ((Z2, TRIVIAL_GROUP, TRIVIAL_GROUP), 2, "multiplicative Euler characteristic"),
+]
+
+
+@pytest.mark.parametrize("hs, d, identity", PAGE_IDENTITY_BREAKS, ids=[
+    "euler", "annihilator-h0", "annihilator-h1", "rank1-h0", "rank1-h1", "multiplicative"])
+def test_a_broken_page_identity_is_named(hs, d, identity):
+    with pytest.raises(spectral.PageIdentityError, match="^" + re.escape(identity)):
+        spectral._check_page(hs, d)
+
+
+def test_a_wrong_invariant_factor_breaks_a_page_identity(monkeypatch):
+    # Doubling the first invariant factor of each elimination gives pages
+    # that no Evans complex has.  On 81 of seed 1's documents a page identity
+    # says so; on others the doubled factor breaks the divisibility chain.
+    factors = snf.invariant_factors
+
+    def doubled(pivots):
+        fs = factors(pivots)
+        return (2 * fs[0], *fs[1:]) if fs else fs
+
+    monkeypatch.setattr(snf, "invariant_factors", doubled)
+    broken = []
+    for doc in random_polynomial_documents(1000, 1):
+        try:
+            Analysis(doc.spec).homology
+        except spectral.PageIdentityError:
+            broken.append(doc.name)
+        except ValueError as err:
+            assert "divisibility chain" in str(err)
+    assert len(broken) == 81
