@@ -10,7 +10,6 @@ report what that page does (and does not) pin down about K-theory.
 from .complexes import (
     ChainComplex,
     ChainComplexError,
-    build_complex,
     build_differential_direct,
     differential_product_witness,
     evans_boundary,
@@ -74,7 +73,6 @@ __all__ = [
     "VerdictKind",
     "Violation",
     "boundary_pattern",
-    "build_complex",
     "build_differential_direct",
     "coadjacencies",
     "differential_product_witness",

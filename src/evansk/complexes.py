@@ -27,12 +27,12 @@ iterated tensor of the two-term complexes ``0 -> Z -(B_j)-> Z -> 0`` for
 one vertex, independently and compares them with every boundary built
 here.
 
-The blocks of ``d_p d_(p+1)`` are the commutators ``B_j B_i - B_i B_j``,
-so :func:`build_complex` certifies ``d o d = 0`` by checking that the
-``B_i`` commute, on packed rows, and multiplies no boundaries.  A
-:class:`ChainComplex` made from boundaries it did not build is certified
-by their dense products.  No graph is validated here:
-:class:`evansk.spectral.Analysis` does that before it builds a complex.
+The blocks of ``d_p d_(p+1)`` are the commutators ``B_j B_i - B_i B_j``.
+:class:`ChainComplex` certifies ``d o d = 0`` by the dense products, so the
+complex of raw matrices ``bs`` is ``ChainComplex(ranks, boundaries)`` of
+the :func:`evans_boundary` of each degree.  No graph is validated here:
+:class:`evansk.spectral.Analysis` validates a spec, which proves its ``B_i``
+commute, and its ``complex`` stage then multiplies no boundaries.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from math import comb
 from collections.abc import Sequence
 
 from . import limits
-from .indexsets import boundary_pattern, enumerate_tuples
-from .intmat import IntMatrix, product_differences
+from .indexsets import boundary_pattern
+from .intmat import IntMatrix
 from .kgraph import KGraphSpec, coadjacencies
 
 
@@ -148,45 +148,3 @@ def build_differential_direct(spec: KGraphSpec, p: int) -> IntMatrix:
     responsible for validating the spec.  No report calls it; it stays because
     ``perfbench/reference.py`` does."""
     return evans_boundary(coadjacencies(spec), p)
-
-
-def build_complex(bs: Sequence[IntMatrix]) -> ChainComplex:
-    """The Evans chain complex of the commuting ``n x n`` matrices ``bs``: the
-    library's certified constructor, behind ``evansk complex`` and the tests.
-
-    The boundaries come from :func:`evans_boundary`, and ``d o d = 0`` is
-    certified from the commutators, which are the blocks of ``d_p d_(p+1)``:
-    the products ``B_j B_i`` and ``B_i B_j`` of each degree-2 tuple ``(i, j)``
-    are compared on packed rows (:func:`~evansk.intmat.product_differences`),
-    and no boundaries are multiplied.  It proves this for every family, even
-    for a spec's matrices that validation has already proved to commute, since
-    it takes matrices, not a spec.  The verdict path builds no complex: its
-    ``homology`` stage reads the boundaries it needs from
-    :func:`evans_boundary`.  Matrices that do not commute raise
-    :class:`ChainComplexError` at the first nonzero entry of ``d_1 d_2`` in
-    row-major order, the witness the dense products would give: its block
-    is ``B_j B_i - B_i B_j``, blocks in canonical tuple order.  An empty
-    family or matrices that are not all ``n x n`` raise ``ValueError``, and
-    a complex over a limit of :mod:`evansk.limits` (its largest boundary's
-    cells, then the commutator check's multiply-adds) raises ``LimitError``,
-    before anything is computed.
-    """
-    if not bs:
-        raise ValueError("at least one matrix is required")
-    k, n = len(bs), bs[0].rows
-    for i, b in enumerate(bs, start=1):
-        if b.shape() != (n, n):
-            raise ValueError(f"matrix {i} has shape {b.shape()}, expected {n}x{n}")
-    limits.check_complex(k, n)
-    if n > 1:  # 1x1 matrices always commute
-        limits.check_commutators(k, n)
-        # (B_j, B_i) for each degree-2 tuple (i, j), keyed to its block of d_1 d_2
-        blocks = {(j - 1, i - 1): t for t, (i, j) in enumerate(enumerate_tuples(2, k))}
-        witness = min(((r, blocks[a, b], c, x - y)
-                       for a, b, r, c, x, y in product_differences(bs, blocks)), default=None)
-        if witness is not None:
-            r, t, c, value = witness
-            raise ChainComplexError(1, r, t * n + c, value)
-    ranks = tuple(comb(k, p) * n for p in range(k + 1))
-    boundaries = tuple(evans_boundary(bs, p) for p in range(1, k + 1))
-    return ChainComplex._certified(ranks, boundaries)

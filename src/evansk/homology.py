@@ -117,13 +117,13 @@ def homology(cc: ChainComplex) -> list[AbelianGroup]:
     """Homology groups in degrees ``0..length``, always from the
     elementary divisors of every boundary.
 
-    ``cc`` squares to zero: its constructor, or
-    :func:`~evansk.complexes.build_complex`, certified that.  The verdict
-    path (:class:`evansk.spectral.Analysis`) calls neither: it takes no
-    complex, assembles each boundary it needs once with
-    :func:`~evansk.complexes.evans_boundary`, and passes their divisors to
-    :func:`groups_from_divisors`, unless the determinants of the ``B_i``,
-    the one-vertex closed form or ``H_0 = 0`` settles the page first.
+    ``cc`` squares to zero: its constructor, or the validation behind
+    ``Analysis.complex``, proved that.  The verdict path
+    (:class:`evansk.spectral.Analysis`) takes no complex: it assembles each
+    boundary it needs once with :func:`~evansk.complexes.evans_boundary`,
+    and passes their divisors to :func:`groups_from_divisors`, unless the
+    determinants of the ``B_i``, the one-vertex closed form or ``H_0 = 0``
+    settles the page first.
     """
     return groups_from_divisors(cc.ranks, [elementary_divisors(b) for b in cc.boundaries])
 

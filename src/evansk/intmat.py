@@ -7,8 +7,8 @@ through floats or fixed-width integer types.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from collections.abc import Iterator, Sequence
+from itertools import chain, combinations
 from operator import lshift, mul
 
 
@@ -134,11 +134,10 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def product_differences(ms: Sequence[IntMatrix], pairs: Iterable[tuple[int, int]]
-                        ) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """``(a, b, r, c, x, y)`` for each pair ``(a, b)`` of ``pairs``, in order, whose
-    products differ: ``x = (ms[a] @ ms[b])[r, c]`` and ``y = (ms[b] @ ms[a])[r, c]`` at
-    the first differing entry in row-major order.  ``ms`` holds ``n x n`` matrices.
+def product_differences(ms: Sequence[IntMatrix]) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """``(a, b, r, c, x, y)`` for each pair ``a < b``, in order, whose products
+    differ: ``x = (ms[a] @ ms[b])[r, c]`` and ``y = (ms[b] @ ms[a])[r, c]`` at the
+    first differing entry in row-major order.  ``ms`` holds ``n x n`` matrices.
 
     No product is formed: each row of ``ms[b]`` packs into one integer, a
     ``w``-bit slot per column with ``w = (n * top**2).bit_length() + 1`` for
@@ -154,7 +153,7 @@ def product_differences(ms: Sequence[IntMatrix], pairs: Iterable[tuple[int, int]
     packed = [[sum(map(lshift, row, range(0, w * n, w))) for row in m._data] for m in ms]
     half = 1 << (w - 1)
     bias = None
-    for a, b in pairs:
+    for a, b in combinations(range(len(ms)), 2):
         ab = [sum(map(mul, row, packed[b])) for row in ms[a]._data]
         ba = [sum(map(mul, row, packed[a])) for row in ms[b]._data]
         if ab == ba:

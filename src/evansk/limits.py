@@ -1,13 +1,14 @@
 """Every size limit, each checked from an estimate before the work it guards.
 
 A rank-``k`` complex on ``n`` vertices has ``C(k, p) * n`` generators in degree ``p``, so each
-estimate is known before work starts.  Checks read these globals when run; no flag lifts one."""
+estimate is known before work starts.  Validation, under the spec estimate, proves commutation
+once; a complex meets the cell limit alone.  Checks read these globals when run; no flag lifts one."""
 
 import sys
 from math import comb
 
 MAX_RANK = 1000  # validation compares every pair of coordinates
-MAX_PRODUCT_MADDS = 10**8  # multiply-adds of validation and determinants, or of a commutator proof
+MAX_PRODUCT_MADDS = 10**8  # multiply-adds of validation and determinants
 MAX_BOUNDARY_CELLS = 10**7  # cells of one dense boundary
 MAX_REPORT_TORSION = 10**6  # torsion entries per JSON page; a text page prints powers
 MAX_DOCUMENTS = 10**5  # documents per generator call
@@ -49,13 +50,6 @@ def check_spec(k: int, n: int) -> None:
 def check_complex(k: int, n: int) -> None:
     cells = dense_cells(k, n)
     _check(cells, MAX_BOUNDARY_CELLS, f"the largest boundary would have {cells} dense cells")
-
-
-def check_commutators(k: int, n: int) -> None:
-    """Bounds :func:`~evansk.complexes.build_complex`'s commutator proof by the spec estimate,
-    which every spec passes when it is made, for matrices that come from no spec."""
-    madds = spec_madds(k, n)
-    _check(madds, MAX_PRODUCT_MADDS, f"the commutator check would take {madds} multiply-adds")
 
 
 def check_report(groups) -> None:

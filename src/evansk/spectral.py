@@ -86,7 +86,7 @@ from collections.abc import Sequence
 from time import perf_counter
 
 from . import limits
-from .complexes import ChainComplex, build_complex, evans_boundary
+from .complexes import ChainComplex, evans_boundary
 from .homology import TRIVIAL_GROUP, AbelianGroup, groups_from_divisors
 from .intmat import IntMatrix
 from .kgraph import KGraphSpec, SpecValidationError, ValidationReport, coadjacencies, validate
@@ -232,8 +232,8 @@ class Analysis:
     that applies; the last reads ``coadjacencies`` and assembles each
     boundary it needs once.  ``verdict`` applies the first matching rule
     and carries ``homology`` as its ``e2``.  No stage of that chain reads
-    ``complex``: it is the certified :func:`~evansk.complexes.build_complex`
-    of ``coadjacencies``, for ``evansk complex`` and library callers.
+    ``complex``: the :func:`~evansk.complexes.evans_boundary` of each degree,
+    for ``evansk complex`` and library callers, certified by ``validation``.
 
     A stage is a non-data descriptor, so a value assigned before the stage
     is read stands in for it, and is not timed: after
@@ -284,7 +284,11 @@ class Analysis:
 
     @_stage
     def complex(self) -> ChainComplex:
-        return build_complex(self.coadjacencies)
+        """The Evans complex of ``coadjacencies``, its ``d o d = 0`` proved by ``validation``."""
+        bs, k, n = self.coadjacencies, self.spec.rank, self.spec.num_vertices
+        limits.check_complex(k, n)
+        return ChainComplex._certified(tuple(comb(k, p) * n for p in range(k + 1)),
+                                       tuple(evans_boundary(bs, p) for p in range(1, k + 1)))
 
     @_stage
     def homology(self) -> tuple[AbelianGroup, ...]:

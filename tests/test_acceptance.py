@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -36,7 +37,6 @@ from evansk import (
     SpecValidationError,
     TRIVIAL_GROUP,
     VerdictKind,
-    build_complex,
     build_differential_direct,
     coadjacencies,
     document_to_dict,
@@ -103,7 +103,7 @@ def monoid_sweep():
         for ms in itertools.product(M_VALUES, repeat=k):
             spec = monoid_spec(ms)
             analysis = Analysis(spec)
-            cc = analysis.complex  # validated; built certifies d o d = 0 by commutators
+            cc = analysis.complex  # its validation proved d o d = 0 from the commutators
             built += 1
             if dense_product_witness(cc.boundaries) is not None:
                 dd_failures.append(ms)
@@ -181,28 +181,31 @@ def test_criterion_01_differential_equivalence(monoid_sweep, poly_sweep):
 
 
 def test_criterion_02_complex_axiom(monoid_sweep, poly_sweep):
-    # build_complex certified every corpus complex from the commutators of
-    # its B_i, and multiplied no boundaries; the sweeps checked each one with
-    # the oracle's dense products.
+    # Validation proved every corpus complex's d o d = 0 from the commutators
+    # of its M_i, and Analysis.complex multiplied no boundaries; the sweeps
+    # checked each one with the oracle's dense products.
     assert monoid_sweep["built"] == MONOID_TOTAL
     assert poly_sweep["built"] == POLY_COUNT
     assert monoid_sweep["dd_failures"] == []
     assert poly_sweep["dd_failures"] == []
     # Negative control: a non-commuting family breaks the axiom.  Its
-    # matrices are refused by either certificate alone, at the same entry;
-    # the spec is refused by validation before any complex is built.
+    # boundaries are refused by the dense certificate, and the spec by
+    # validation before any complex is built, at the same entry: the M_i are
+    # symmetric, so d_1 d_2 = B_2 B_1 - B_1 B_2 = (M_1 M_2 - M_2 M_1)^T is
+    # M_2 M_1 - M_1 M_2.
     bad = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     d1 = build_differential_direct(bad, 1)
     d2 = build_differential_direct(bad, 2)
     assert d1 @ d2 != IntMatrix(d1.rows, d2.cols, [[0] * d2.cols] * d1.rows)
     with pytest.raises(ChainComplexError) as dense:
         ChainComplex((2, 4, 2), (d1, d2))
-    with pytest.raises(ChainComplexError) as commutators:
-        build_complex(coadjacencies(bad))
-    assert str(commutators.value) == str(dense.value)
     with pytest.raises(SpecValidationError) as info:
         Analysis(bad).complex
-    assert [v.kind for v in info.value.report.violations] == ["non_commuting"]
+    (violation,) = info.value.report.violations
+    x, y = map(int, re.search(r": (-?\d+) vs (-?\d+)$", violation.message).groups())
+    assert violation.kind == "non_commuting"
+    assert violation.where == (1, 2, dense.value.row, dense.value.col)
+    assert (dense.value.degree, dense.value.value) == (1, y - x)
     announce(2, f"d_p d_(p+1) = 0 on all {MONOID_TOTAL + POLY_COUNT} corpus "
                 "specs; non-commuting control is nonzero and refused")
 

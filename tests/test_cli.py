@@ -16,7 +16,7 @@ import evansk
 from evansk import document_from_dict, dumps_document
 from evansk import corpus, limits, spectral
 from evansk.cli import _build_parser, _parse, main
-from evansk.complexes import build_complex, differential_product_witness, evans_boundary
+from evansk.complexes import ChainComplex, differential_product_witness, evans_boundary
 from evansk.corpus import monoid_document, random_polynomial_documents
 from evansk.documents import GraphDocument
 from evansk.homology import AbelianGroup, homology
@@ -152,7 +152,7 @@ def test_bad_degree_refused_before_assembly(degree, tmp_path, monkeypatch, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("a bad degree is refused before assembly")
 
-    monkeypatch.setattr(spectral, "build_complex", refuse)
+    monkeypatch.setattr(spectral, "evans_boundary", refuse)
     path = tmp_path / "rank10.json"
     path.write_text(dumps_document(monoid_document([3] * 10)), encoding="utf-8")
     for fmt in ("text", "json"):
@@ -446,8 +446,9 @@ def test_non_commuting_witness_past_the_digit_limit_exits_2(command, fmt, int_di
 def test_d_o_d_entry_past_the_digit_limit_is_a_limit_error(int_digits):
     int_digits(4300)
     a = 10**3000
+    bs = (IntMatrix.from_rows([[0, a], [0, 0]]), IntMatrix.from_rows([[0, 0], [a, 0]]))
     with pytest.raises(limits.LimitError, match="^the report would write an integer of 6001 "):
-        build_complex((IntMatrix.from_rows([[0, a], [0, 0]]), IntMatrix.from_rows([[0, 0], [a, 0]])))
+        ChainComplex((2, 4, 2), (evans_boundary(bs, 1), evans_boundary(bs, 2)))
 
 
 def test_digit_check_counts_exactly_from_bit_lengths(int_digits):
@@ -572,6 +573,14 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def _refuse_complex_stage(monkeypatch) -> None:
+    """Fail the test if anything reads ``Analysis.complex``."""
+    def refuse(analysis):
+        raise AssertionError("no complex is built on this path")
+
+    monkeypatch.setattr(Analysis, "complex", property(refuse))
+
+
 def _count_determinants(monkeypatch) -> list:
     calls = []
     det = IntMatrix.det
@@ -618,7 +627,7 @@ H0_ZERO_RANK_16 = spec_from_matrices([[[13, 14], [14, 20]], [[12, 14], [14, 19]]
 ])
 def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     validations = _count_calls(monkeypatch, validate)
-    builds = _count_calls(monkeypatch, build_complex)
+    _refuse_complex_stage(monkeypatch)
     assembled = _count_calls(monkeypatch, evans_boundary)
     coadjacency_builds = _count_calls(monkeypatch, coadjacencies)
     determinants = _count_determinants(monkeypatch)
@@ -630,7 +639,6 @@ def test_verdict_validates_and_builds_once(spec, status, tmp_path, monkeypatch):
     # the Künneth closed form: neither assembles a boundary.  H_0 = 0 is read
     # from d_1 alone; otherwise each boundary is assembled once, in order.
     assert len(commutator_checks) == (0 if spec.is_monoid else 1)
-    assert builds == []
     degrees = [1, 2] if spec is TWO_VERTEX_GCD_4 else [1] if spec is H0_ZERO else []
     assert [p for _, p in assembled] == degrees
     # One vertex: the determinants are the loop counts' 1 - m_i, no matrix.
@@ -716,7 +724,7 @@ def test_total_counts_reading_the_document(monoid_file, monkeypatch, capsys):
     lambda: Analysis(TWO_VERTEX_GCD_4).verdict,
 ], ids=["homology", "verdict"])
 def test_each_complex_runs_no_dense_product(run, monkeypatch):
-    # build_complex certifies d o d = 0 from the commutators, on packed rows.
+    # Validation proves d o d = 0 from the commutators, on packed rows.
     products = _count_calls(monkeypatch, differential_product_witness)
     matmuls = _count_matmuls(monkeypatch)
     run()
@@ -733,12 +741,37 @@ def test_no_report_behind_the_page_multiplies_matrices(command, tmp_path, monkey
         paths[-1].write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
     products = _count_calls(monkeypatch, differential_product_witness)
     matmuls = _count_matmuls(monkeypatch)
-    builds = _count_calls(monkeypatch, build_complex)
+    _refuse_complex_stage(monkeypatch)
     for path in paths:
         for fmt in ("text", "json"):
             assert main([command, str(path), "--format", fmt]) in (0, 1)
     capsys.readouterr()
-    assert (len(products), len(matmuls), len(builds)) == (0, 0, 0)
+    assert (len(products), len(matmuls)) == (0, 0)
+
+
+@pytest.mark.parametrize("spec, status", [
+    (TWO_VERTEX_GCD_4, 0),
+    (H0_ZERO, 0),
+    (NON_COMMUTING, 1),
+    (monoid_document([3, 5, 7]).spec, 0),
+], ids=["gcd4", "H0=0", "non-commuting", "one-vertex"])
+def test_complex_proves_commutation_once(spec, status, tmp_path, monkeypatch, capsys):
+    # Validation's packed comparison of each pair is the one proof of
+    # d o d = 0: each boundary is then assembled once, and none is multiplied.
+    path = tmp_path / "doc.json"
+    path.write_text(dumps_document(GraphDocument(spec=spec)), encoding="utf-8")
+    commutator_checks = _count_calls(monkeypatch, product_differences)
+    assembled = _count_calls(monkeypatch, evans_boundary)
+    products = _count_calls(monkeypatch, differential_product_witness)
+    matmuls = _count_matmuls(monkeypatch)
+    for fmt in ("text", "json"):
+        for calls in (commutator_checks, assembled, products, matmuls):
+            calls.clear()
+        assert main(["complex", str(path), "--format", fmt]) == status
+        capsys.readouterr()
+        assert len(commutator_checks) == (0 if spec.is_monoid else 1), fmt
+        assert [p for _, p in assembled] == ([] if status else list(range(1, spec.rank + 1))), fmt
+        assert (len(products), len(matmuls)) == (0, 0), fmt
 
 
 @pytest.mark.parametrize("spec", [

@@ -16,7 +16,6 @@ from evansk import (
     ChainComplexError,
     IntMatrix,
     SpecValidationError,
-    build_complex,
     build_differential_direct,
     coadjacencies,
     differential_product_witness,
@@ -27,9 +26,9 @@ from evansk import (
     spec_from_matrices,
     validate,
 )
-from evansk import complexes
+from evansk import complexes, spectral
 from evansk.corpus import evaluate_polynomial, random_polynomial_documents
-from evansk.limits import MAX_BOUNDARY_CELLS, LimitError, dense_cells, spec_madds
+from evansk.limits import MAX_BOUNDARY_CELLS, LimitError, dense_cells
 
 import oracles
 from oracles import (
@@ -47,8 +46,15 @@ def is_zero(m: IntMatrix) -> bool:
 
 
 def complex_of(spec) -> ChainComplex:
-    """The complex of the spec's co-adjacency matrices, unvalidated."""
-    return build_complex(coadjacencies(spec))
+    """The complex of a valid spec, certified by its validation."""
+    return Analysis(spec).complex
+
+
+def dense_complex(bs) -> ChainComplex:
+    """The public constructor's complex of raw matrices: its dense products certify it."""
+    k, n = len(bs), bs[0].rows
+    return ChainComplex(tuple(comb(k, p) * n for p in range(k + 1)),
+                        tuple(evans_boundary(bs, p) for p in range(1, k + 1)))
 
 
 def blocks_of(matrix, p, k, n=1):
@@ -131,23 +137,13 @@ def test_chain_complex_is_ranks_and_boundaries():
     # The complex layer knows matrices, not graphs: no vertex labels, no
     # B_i, and no validation of its own beyond the d o d = 0 certificate.
     assert [f.name for f in dataclasses.fields(ChainComplex)] == ["ranks", "boundaries"]
-    assert list(inspect.signature(build_complex).parameters) == ["bs"]
+    assert list(inspect.signature(evans_boundary).parameters) == ["bs", "p"]
     tree = ast.parse(Path(complexes.__file__).read_text(encoding="utf-8"))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert "coadjacencies" in names  # the walk sees imports and calls
     assert not names & {"validate", "require_valid"}
-
-
-def test_build_complex_refuses_malformed_families(monkeypatch):
-    monkeypatch.setattr("evansk.limits.check_complex", None)  # shapes are checked first
-    with pytest.raises(ValueError, match="at least one matrix is required"):
-        build_complex(())
-    with pytest.raises(ValueError, match=r"matrix 2 has shape \(1, 2\), expected 2x2"):
-        build_complex((IntMatrix(2, 2, [[0, 0]] * 2), IntMatrix(1, 2, [[0, 0]])))
-    with pytest.raises(ValueError, match=r"matrix 1 has shape \(2, 1\), expected 2x2"):
-        build_complex((IntMatrix(2, 1, [[0]] * 2),))
 
 
 def minors_homology(cc: ChainComplex) -> list[AbelianGroup]:
@@ -167,10 +163,10 @@ def test_commuting_family_that_is_no_graph():
         IntMatrix.from_rows([[(r == c) - q[c, r] for c in range(3)] for r in range(3)])
         for q in (evaluate_polynomial(cs, a) for cs in polynomials))
     for k in (1, 2, 3):
-        cc = build_complex(bs[:k])
+        cc = dense_complex(bs[:k])
         assert cc.ranks == tuple(comb(k, p) * 3 for p in range(k + 1))
         assert homology(cc) == minors_homology(cc)
-    assert any(not g.is_trivial for g in homology(build_complex(bs[:2])))
+    assert any(not g.is_trivial for g in homology(dense_complex(bs[:2])))
 
 
 def test_build_complex_assembles_without_block_matrices(monkeypatch):
@@ -202,13 +198,13 @@ def test_trivial_monoid_has_zero_boundaries():
 
 def test_non_commuting_spec_refused():
     # Validation refuses the spec before its complex is built; the matrices
-    # alone are refused by the d o d = 0 certificate.
+    # alone are refused by the public constructor's d o d = 0 certificate.
     spec = spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]])
     with pytest.raises(SpecValidationError) as info:
         Analysis(spec).complex
     assert any(v.kind == "non_commuting" for v in info.value.report.violations)
     with pytest.raises(ChainComplexError):
-        build_complex(coadjacencies(spec))
+        dense_complex(coadjacencies(spec))
 
 
 def test_non_commuting_negative_control_breaks_complex_axiom():
@@ -366,7 +362,7 @@ def test_build_complex_refuses_over_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("nothing is assembled over budget")
 
-    monkeypatch.setattr("evansk.complexes.evans_boundary", refuse)
+    monkeypatch.setattr(spectral, "evans_boundary", refuse)
     with pytest.raises(LimitError, match=f"over the limit of {MAX_BOUNDARY_CELLS}$"):
         complex_of(monoid_spec([2] + [3] * 29))
 
@@ -374,7 +370,7 @@ def test_build_complex_refuses_over_budget(monkeypatch):
 def test_boundary_cells_limit_is_exact(monkeypatch):
     # The cell limit is the only one a complex meets: [3] * 11 (C(11, 5) *
     # C(11, 6) = 213 444 cells), whose dense d o d products would take about
-    # 2e8 multiply-adds, is built, and certified from its commutators.
+    # 2e8 multiply-adds, is built, and certified by its validation.
     assert dense_cells(11, 1) == 213_444 < MAX_BOUNDARY_CELLS
     assert complex_of(monoid_spec([3] * 11)).ranks == tuple(comb(11, p) for p in range(12))
     # The preflight's estimate is the largest boundary: at that many cells
@@ -409,57 +405,16 @@ def families(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(families())
-def test_build_complex_certifies_by_commutators(bs):
-    # No product of boundaries is taken; the witness is the one the dense
-    # scan finds on the boundaries of the block recursion.
-    boundaries = oracles.recursive_boundaries(bs)
-    witness = dense_product_witness(boundaries)
-    commute = all(a @ b == b @ a for a, b in itertools.combinations(bs, 2))
-    assert (witness is None) == commute
-    try:
-        cc = build_complex(bs)
-    except ChainComplexError as err:
-        assert error_fields(err) == witness
-    else:
-        assert witness is None
-        assert cc.boundaries == boundaries
-
-
-@settings(max_examples=300, deadline=None)
-@given(families())
-def test_validation_refuses_exactly_the_families_build_complex_refuses(bs):
-    # B_i B_j - B_j B_i = (M_j M_i - M_i M_j)^T for B_i = I - M_i^T, so the
-    # verdict path's validation proves all that build_complex's proof does.
+def test_validation_refuses_exactly_the_families_whose_d_o_d_is_nonzero(bs):
+    # B_i B_j - B_j B_i = (M_j M_i - M_i M_j)^T for B_i = I - M_i^T, and these
+    # commutators are the blocks of d_p d_(p+1): validation's proof is the
+    # one d o d = 0 needs.
     spec = spec_from_matrices([b.to_lists() for b in bs])
     refused = any(v.kind == "non_commuting" for v in validate(spec).violations)
-    try:
-        build_complex(coadjacencies(spec))
-    except ChainComplexError:
-        assert refused
-    else:
-        assert not refused
-
-
-def test_commutator_proof_is_bounded_by_the_spec_estimate(monkeypatch):
-    # Matrices that come from no spec meet the estimate every spec meets
-    # when it is made, before any product is compared.
-    def refuse(*args):
-        raise AssertionError("nothing is compared over budget")
-
-    a = IntMatrix.from_rows([[1, 1], [1, 0]])
-    commuting, non_commuting = (a, a @ a), (a, IntMatrix.from_rows([[0, 1], [1, 1]]))
-    madds = spec_madds(2, 2)
-    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds)
-    assert build_complex(commuting).ranks == (2, 4, 2)
-    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", madds - 1)
-    monkeypatch.setattr(complexes, "product_differences", refuse)
-    for bs in (commuting, non_commuting):
-        with pytest.raises(LimitError) as info:
-            build_complex(bs)
-        assert str(info.value) == (f"the commutator check would take {madds} multiply-adds, "
-                                   f"over the limit of {madds - 1}")
-    monkeypatch.setattr("evansk.limits.MAX_PRODUCT_MADDS", 0)  # 1x1 matrices need no proof
-    assert build_complex((IntMatrix.from_rows([[2]]),) * 3).ranks == (1, 3, 3, 1)
+    bs = coadjacencies(spec)
+    boundaries = tuple(evans_boundary(bs, p) for p in range(1, spec.rank + 1))
+    assert boundaries == oracles.recursive_boundaries(bs)
+    assert refused == (dense_product_witness(boundaries) is not None)
 
 
 def test_build_complex_multiplies_no_boundaries(monkeypatch):
@@ -471,7 +426,7 @@ def test_build_complex_multiplies_no_boundaries(monkeypatch):
     monkeypatch.setattr(complexes, "differential_product_witness", refuse)
     for spec in specs:
         complex_of(spec)
-    with pytest.raises(ChainComplexError):
+    with pytest.raises(SpecValidationError):
         complex_of(spec_from_matrices([[[1, 1], [1, 0]], [[0, 1], [1, 1]]]))
 
 

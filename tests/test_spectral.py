@@ -46,13 +46,10 @@ def verdict_route(spec) -> tuple[Analysis, list[int]]:
         degrees.append(p)
         return assemble(bs, p)
 
-    def refuse(*args):
-        raise AssertionError("the verdict path builds no complex")
-
-    with (mock.patch.object(spectral, "evans_boundary", counted),
-          mock.patch.object(spectral, "build_complex", refuse)):
+    with mock.patch.object(spectral, "evans_boundary", counted):
         analysis = Analysis(spec)
         analysis.verdict
+    assert "complex" not in analysis.seconds, "the verdict path builds no complex"
     return analysis, degrees
 
 
@@ -486,7 +483,7 @@ def test_rank_30_vanishing_builds_no_complex(ms, rule, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the determinants prove this page zero")
 
-    monkeypatch.setattr(spectral, "build_complex", refuse)
+    monkeypatch.setattr(spectral, "evans_boundary", refuse)
     v = k_theory_verdict(monoid_spec(ms))
     assert (v.kind, v.rule) == (VerdictKind.TRIVIAL, rule)
     assert v.e2 == (TRIVIAL_GROUP,) * 31
@@ -514,7 +511,7 @@ def test_rank_30_one_vertex_page_builds_no_complex(ms, rule, column, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a one-vertex page comes from the closed form")
 
-    monkeypatch.setattr(spectral, "build_complex", refuse)
+    monkeypatch.setattr(spectral, "evans_boundary", refuse)
     v = k_theory_verdict(monoid_spec(ms))
     assert v.rule == rule
     assert v.e2 == tuple(column(p) for p in range(31))
